@@ -1,9 +1,10 @@
 """Command-line surface: decompose, canonical, gen, verify.
 
 stdout carries exactly one JSON document; diagnostics go to stderr.
-Exit codes: 0 success, 2 parse/usage error, 3 certificate failure,
-4 unsupported input (odd size for skew sums, desk-scale overflow, wrong
-pathway for the exact kinds).
+Exit codes: 0 success, 2 parse/usage error (including the wrong pathway
+for the exact kinds), 3 numerical failure (a failed certificate, no
+verified canonical form, a LAPACK routine that did not converge),
+4 unsupported input (odd size for skew sums, desk-scale overflow).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .matcore import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DESK_SCALE,
+    ConvergenceFailure,
     Matrix,
     MatrixError,
     PathwayMismatch,
@@ -257,6 +259,9 @@ def main(argv=None) -> int:
     except UnsupportedSize as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except ConvergenceFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except PathwayMismatch as exc:
         print(f"input pathway: {exc}", file=sys.stderr)
         return EXIT_PARSE

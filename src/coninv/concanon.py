@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,11 +50,14 @@ WEYR_FLOOR = 1e-8
 
 
 class ConCanonicalError(RuntimeError):
-    """No structurally consistent candidate could be residual-verified."""
+    """No structurally consistent candidate could be residual-verified.
 
-    def __init__(self, message: str, best_residual: float | None = None):
+    `tried` lists each candidate block assignment with the reason its
+    intertwiner was refused: "empty kernel", "singular" or the residual."""
+
+    def __init__(self, message: str, tried=()):
         super().__init__(message)
-        self.best_residual = best_residual
+        self.tried = list(tried)
 
 
 @dataclass(frozen=True)
@@ -135,16 +139,34 @@ def skew_base(n_half: int, pathway: str = "floating") -> Matrix:
 
 
 def _consim_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real 2n^2 x 2n^2 matrix of S -> A S - conj(S) B on (Re S, Im S)."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    ar, ai = a.real, a.imag
-    br, bi = b.real, b.imag
-    m_rr = np.kron(ar, eye) - np.kron(eye, br.T)
-    m_ry = -np.kron(ai, eye) - np.kron(eye, bi.T)
-    m_ir = np.kron(ai, eye) - np.kron(eye, bi.T)
-    m_iy = np.kron(ar, eye) + np.kron(eye, br.T)
-    return np.block([[m_rr, m_ry], [m_ir, m_iy]])
+    """Real 2nm x 2nm matrix of S -> A S - conj(S) B on (Re S, Im S), for
+    n-by-n A, m-by-m B and an n-by-m unknown S (row-major), where the map
+    is s -> L s - R conj(s) with L = kron(A, I_m) and R = kron(I_n, B^T)."""
+    left = np.kron(a, np.eye(b.shape[0]))
+    right = np.kron(np.eye(a.shape[0]), b.T)
+    return np.block(
+        [
+            [left.real - right.real, -left.imag - right.imag],
+            [left.imag - right.imag, left.real + right.real],
+        ]
+    )
+
+
+def _diagonal_blocks(b: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of the finest diagonal blocks of b with zero coupling,
+    so that b is their direct sum."""
+    idx = np.arange(b.shape[0])
+    coupled = (b != 0) | (b.T != 0)
+    last = np.where(coupled, idx, idx[:, None]).max(axis=1)
+    stops = np.flatnonzero(np.maximum.accumulate(last) == idx) + 1
+    return list(zip([0, *stops[:-1].tolist()], stops.tolist()))
+
+
+#: why the latest solve_consimilarity call in this context returned None:
+#: "empty kernel", "singular" or the residual of its best transform.  Kept
+#: beside the return value, which stays S or None for every caller;
+#: concanonical_form reads it to say why each candidate was refused.
+_failure: ContextVar[str | float | None] = ContextVar("consimilarity_failure", default=None)
 
 
 def solve_consimilarity(
@@ -158,39 +180,46 @@ def solve_consimilarity(
 ) -> Matrix | None:
     """Nonsingular S with A S = conj(S) B within tol, or None.
 
-    The solution set is a real-linear subspace (the kernel of the operator
-    above); seeded random real combinations of a kernel basis are retried
-    until one is well-conditioned.
+    B is split into its finest diagonal blocks B_j with zero coupling, and
+    the equation splits with it: A S_j = conj(S_j) B_j for the n-by-n_j
+    column block S_j of S.  Each solution set is a real-linear subspace,
+    the kernel of a real operator of side 2 n n_j.  Each trial draws a
+    seeded random real combination of every block's kernel basis, scales
+    S_j to Frobenius norm sqrt(n_j) and keeps the best-conditioned S below
+    cond_cap, stopping early once cond(S) < 1e3.  The residual of that S
+    is the final arbiter.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     n = a.n
     aa, bb = a.to_array(), b.to_array()
-    basis = real_linear_nullspace(_consim_operator(aa, bb), RANK_TOL)
-    if not basis:
-        return None
+    bases = []
+    for start, stop in _diagonal_blocks(bb):
+        basis = real_linear_nullspace(_consim_operator(aa, bb[start:stop, start:stop]), RANK_TOL)
+        if not basis:
+            _failure.set("empty kernel")
+            return None
+        bases.append((stop - start, np.array(basis)))
     rng = np.random.default_rng(seed)
     best, best_cond = None, cond_cap
-    for trial in range(trials):
-        if trial < len(basis):
-            vec = basis[trial]
-        else:
-            coeffs = rng.standard_normal(len(basis))
-            vec = sum(c * v for c, v in zip(coeffs, basis))
-        s = vec[: n * n].reshape(n, n) + 1j * vec[n * n :].reshape(n, n)
-        norm = np.linalg.norm(s, "fro")
-        if norm < 1e-12:
-            continue
-        s = s * (np.sqrt(n) / norm)
+    for _ in range(trials):
+        cols = []
+        for m, basis in bases:
+            vec = rng.standard_normal(len(basis)) @ basis
+            s_j = vec[: n * m].reshape(n, m) + 1j * vec[n * m :].reshape(n, m)
+            cols.append(s_j * (np.sqrt(m) / np.linalg.norm(s_j)))
+        s = np.hstack(cols)
         cond = np.linalg.cond(s)
-        if np.isfinite(cond) and cond < best_cond:
+        if cond < best_cond:
             best, best_cond = s, cond
             if best_cond < 1e3:  # comfortably nonsingular; stop shopping
                 break
     if best is None:
+        _failure.set("singular")
         return None
-    residual = np.linalg.norm(aa @ best - np.conj(best) @ bb, "fro")
+    residual = float(np.linalg.norm(aa @ best - np.conj(best) @ bb, "fro"))
     if residual > tol.bound(float(np.linalg.norm(aa, "fro"))) * np.sqrt(n):
+        _failure.set(residual)
         return None
     return Matrix.floating(best)
 
@@ -420,6 +449,14 @@ def _candidate_blocks(
     return out
 
 
+def _summary(tried: list[tuple[list[ConCanonicalBlock], str | float]]) -> str:
+    """The refused candidates counted by reason, with the best residual."""
+    residuals = [o for _, o in tried if isinstance(o, float)]
+    counts = Counter("residual" if isinstance(o, float) else o for _, o in tried)
+    text = f"{len(tried)} tried" + "".join(f", {k} {v}" for k, v in sorted(counts.items()))
+    return text + (f", best residual {min(residuals):.3g}" if residuals else "")
+
+
 def concanonical_form(
     a: Matrix,
     *,
@@ -439,8 +476,8 @@ def concanonical_form(
     arr = a.to_array()
     m = np.conj(arr) @ arr
     rank_a = numerical_rank(arr)
-    best_res: float | None = None
-    tried: set[tuple] = set()
+    seen: set[tuple] = set()
+    tried: list[tuple[list[ConCanonicalBlock], str | float]] = []
     # escalate the clustering tolerance only after the finer reading fails:
     # heavily coupled inputs (large Jordan blocks through a conjugation)
     # scatter an eigenvalue cluster far beyond the nominal tolerance, and
@@ -457,21 +494,15 @@ def concanonical_form(
                 (b.kind, b.size, round(complex(b.param).real, 9), round(complex(b.param).imag, 9))
                 for b in blocks
             )
-            if key in tried:
+            if key in seen:
                 continue
-            tried.add(key)
+            seen.add(key)
             target = direct_sum(*[build_block(b) for b in blocks]) if blocks else Matrix.zeros(a.n)
             s = solve_consimilarity(a, target, seed=seed, tol=tol)
-            if s is None:
-                continue
-            res = (a @ s - s.conj() @ target).frobenius_norm()
-            if res <= tol.bound(a.frobenius_norm()) * np.sqrt(a.n):
+            if s is not None:
                 return ConCanonicalForm(blocks=blocks, S=s)
-            best_res = res if best_res is None else min(best_res, res)
-    raise ConCanonicalError(
-        f"no candidate block assignment verified (best residual {best_res})",
-        best_residual=best_res,
-    )
+            tried.append((blocks, _failure.get()))
+    raise ConCanonicalError(f"no candidate block assignment verified ({_summary(tried)})", tried=tried)
 
 
 # ---------------------------------------------------------------------------

@@ -486,13 +486,17 @@ def real_linear_nullspace(op_matrix: np.ndarray, tol: Tolerance = RANK_TOL) -> l
     """Orthonormal kernel basis of a real operator matrix at the rank tolerance.
 
     The operator is expected to encode a real-linear map on the stacked
-    real coordinates of a complex unknown (2n^2 of them for an n-by-n
-    matrix), but any real 2-D array is accepted.
+    real coordinates of a complex unknown (2nm of them for an n-by-m
+    matrix), but any real 2-D array is accepted.  An SVD that does not
+    converge is reported as ConvergenceFailure.
     """
     op = np.asarray(op_matrix, dtype=float)
     if op.ndim != 2:
         raise DimensionMismatch("operator matrix must be 2-D")
-    u, s, vh = np.linalg.svd(op)
+    try:
+        _, s, vh = np.linalg.svd(op)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
     smax = float(s[0]) if len(s) else 0.0
     thresh = tol.abs + tol.rel * smax
     ncols = op.shape[1]
@@ -501,7 +505,10 @@ def real_linear_nullspace(op_matrix: np.ndarray, tol: Tolerance = RANK_TOL) -> l
 
 
 def numerical_rank(arr: np.ndarray, tol: Tolerance = RANK_TOL) -> int:
-    s = np.linalg.svd(np.asarray(arr, dtype=complex), compute_uv=False)
+    try:
+        s = np.linalg.svd(np.asarray(arr, dtype=complex), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
     if len(s) == 0:
         return 0
     thresh = tol.abs + tol.rel * float(s[0])

@@ -239,3 +239,13 @@ def test_file_io(tmp_path, capsys):
     assert out == ""
     doc = json.loads(dst.read_text())
     assert doc["certificate"]["pass"] is True
+
+
+def test_convergence_failure_is_numerical(monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    code, _, err = run(capsys, "decompose", "--kind", "coninv", "--json", matrix_json([[k, 1] for k in range(9)]))
+    assert code == 3
+    assert "numerical failure" in err

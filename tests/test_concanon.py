@@ -5,8 +5,10 @@ import pytest
 
 from coninv import (
     ConCanonicalBlock,
+    ConCanonicalError,
     Matrix,
     build_block,
+    concanon,
     concanonical_form,
     coninvolutory_factor,
     consimilar_to_real,
@@ -15,7 +17,8 @@ from coninv import (
     skew_base,
     solve_consimilarity,
 )
-from coninv.concanon import _implied_zero_sizes, _partitions
+from coninv.concanon import _diagonal_blocks, _implied_zero_sizes, _partitions
+from coninv.matcore import DEFAULT_TOL, Tolerance
 
 from conftest import random_complex, random_coninvolutory, well_conditioned
 
@@ -72,6 +75,42 @@ class TestSolveConsimilarity:
     def test_modulus_obstruction(self):
         # |a| is a consimilarity invariant for 1x1
         assert solve_consimilarity(Matrix.floating([[2]]), Matrix.floating([[3]])) is None
+
+    def _hide(self, rng, target):
+        t = well_conditioned(rng, target.n)
+        return t.conj().inverse() @ target @ t
+
+    def _check(self, a, b, s):
+        assert s is not None
+        res = (a @ s - s.conj() @ b).frobenius_norm()
+        assert res <= DEFAULT_TOL.bound(a.frobenius_norm()) * np.sqrt(a.n)
+        assert np.linalg.cond(s.to_array()) < 1e8
+
+    def test_hidden_direct_sum_splits_per_block(self, rng, monkeypatch):
+        b = direct_sum(
+            jordan_block(2, 1.5),
+            build_block(ConCanonicalBlock("H", 1, -2.0)),
+            jordan_block(1, 0.5),
+            build_block(ConCanonicalBlock("H", 2, 1 + 1j)),
+        )
+        a = self._hide(rng, b)
+        assert _diagonal_blocks(b.to_array()) == [(0, 2), (2, 4), (4, 5), (5, 9)]
+        sizes = []
+        kernel = concanon.real_linear_nullspace
+
+        def recording_kernel(op, tol):
+            sizes.append(op.shape)
+            return kernel(op, tol)
+
+        monkeypatch.setattr(concanon, "real_linear_nullspace", recording_kernel)
+        self._check(a, b, solve_consimilarity(a, b))
+        assert sizes == [(2 * 9 * k, 2 * 9 * k) for k in (2, 2, 1, 4)]
+
+    def test_undivided_target_is_one_block(self, rng):
+        b = random_complex(rng, 5)
+        assert _diagonal_blocks(b.to_array()) == [(0, 5)]
+        a = self._hide(rng, b)
+        self._check(a, b, solve_consimilarity(a, b))
 
 
 class TestConCanonicalForm:
@@ -130,6 +169,17 @@ class TestConCanonicalForm:
         assert sorted(b.size for b in form.blocks) == [1, 3]
         form2 = concanonical_form(direct_sum(j3, j3))
         assert sorted(b.size for b in form2.blocks) == [3, 3]
+
+    def test_error_lists_refused_candidates(self, rng):
+        # at a zero tolerance no residual passes, so every candidate is refused
+        with pytest.raises(ConCanonicalError) as info:
+            concanonical_form(random_complex(rng, 3), tol=Tolerance(0.0, 0.0))
+        tried = info.value.tried
+        assert tried
+        for blocks, outcome in tried:
+            assert sum(b.dim for b in blocks) == 3
+            assert outcome in ("empty kernel", "singular") or outcome > 0.0
+        assert f"{len(tried)} tried" in str(info.value)
 
     def test_scattered_cluster_escalation(self, rng):
         # a conjugated size-4 coupled block scatters its conj(A)A cluster far

@@ -15,11 +15,13 @@ from coninv import (
     real_linear_nullspace,
 )
 from coninv.matcore import (
+    ConvergenceFailure,
     DimensionMismatch,
     PathwayMismatch,
     RANK_TOL,
     SingularMatrix,
     UnsupportedSize,
+    numerical_rank,
 )
 
 from conftest import random_complex
@@ -182,6 +184,17 @@ class TestRealLinearNullspace:
         op[:, 0] = op[:, 1]  # force a kernel
         for v in real_linear_nullspace(op):
             assert np.linalg.norm(op @ v) <= RANK_TOL.bound(np.linalg.norm(op, 2))
+
+
+def test_svd_nonconvergence_is_typed(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    with pytest.raises(ConvergenceFailure):
+        real_linear_nullspace(np.eye(2))
+    with pytest.raises(ConvergenceFailure):
+        numerical_rank(np.eye(2))
 
 
 class TestJson:
