@@ -338,7 +338,7 @@ def _odd_real_summands(
     form = frobenius_form(b_rat)
     blocks = list(form.blocks)
     # B_rat = S_f^{-1} (sum F_i) S_f
-    u = form.S.inverse().to_floating()
+    u = form.S_inv.to_floating()
 
     sizes = [f.m for f in blocks]
     order = list(range(len(blocks)))

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .matcore import (
     Matrix,
     PathwayMismatch,
     Polynomial,
+    _integer_grid,
     direct_sum,
 )
 
@@ -292,21 +294,28 @@ def _vector_order(m: Matrix, v: list[Fraction]) -> Polynomial:
 
 
 def _apply(m: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum(r[j] * v[j] for j in range(m.n)) for r in m._d]
+    """m v, with integer dot products as in ``Matrix.__matmul__``."""
+    im, dm = _integer_grid(m._d)
+    (iv,), dv = _integer_grid([v])
+    den = dm * dv
+    return [Fraction(sum(map(mul, row, iv)), den) for row in im]
 
 
 def minimal_polynomial(a: Matrix) -> Polynomial:
-    """Exact minimal polynomial (spin of the matrix-power vectors)."""
+    """Exact minimal polynomial: the lcm of the orders of the standard basis
+    vectors (a polynomial annihilates A exactly when it annihilates a basis),
+    accumulated until the degree reaches n."""
     if a.pathway != "exact":
         raise PathwayMismatch("minimal_polynomial requires the exact pathway")
     n = a.n
-    spin = _Spin(n * n)
-    power = Matrix.identity(n, "exact")
-    while True:
-        dep = spin.push([x for row in power._d for x in row])
-        if dep is not None:
-            return Polynomial(tuple(reversed(dep)))
-        power = power @ a
+    for i in range(n):
+        e = [Fraction(0)] * n
+        e[i] = Fraction(1)
+        order = _coeffs(_vector_order(a, e))
+        mp = order if i == 0 else _pmul(mp, _pdivmod(order, _pgcd(mp, order))[0])
+        if len(mp) - 1 == n:
+            break
+    return Polynomial.from_monic_coeffs(mp)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +326,12 @@ def minimal_polynomial(a: Matrix) -> Polynomial:
 @dataclass
 class FrobeniusForm:
     """blocks[i] is the (prime-power) characteristic polynomial of the i-th
-    companion block; S satisfies S A S^{-1} = direct-sum of companions."""
+    companion block; S satisfies S A S^{-1} = direct-sum of companions, and
+    S_inv is S^{-1}."""
 
     blocks: list[Polynomial]
     S: Matrix
+    S_inv: Matrix
 
     def companion_sum(self) -> Matrix:
         return direct_sum(*[companion(f) for f in self.blocks])
@@ -434,9 +445,9 @@ def _cyclic_blocks(m: Matrix, target_degree: int | None = None) -> tuple[Matrix,
         if spin.push(e) is None:
             extra.append(e)
     p = Matrix.exact([[col[i] for col in cols + extra] for i in range(n)])
-    b = p.inverse() @ m @ p
     if d == n:
         return p, [f]
+    b = p.inverse() @ m @ p
     c_blk = Matrix.exact([[b._d[i][j] for j in range(d)] for i in range(d)])
     x_blk = Matrix.exact([[b._d[i][j + d] for j in range(n - d)] for i in range(d)]) if n - d else None
     y_blk = Matrix.exact([[b._d[i + d][j + d] for j in range(n - d)] for i in range(n - d)])
@@ -476,25 +487,29 @@ def frobenius_form(a: Matrix) -> FrobeniusForm:
         mp = minimal_polynomial(sub)
         factors = factor_prime_powers(mp)
         for prime, exp in factors:
-            pk = poly_eval_matrix(_pow_poly(prime, exp), sub)
-            kernel = _exact_nullspace(pk)
-            primary = _restrict(sub, kernel)
+            if len(factors) == 1:
+                # mp(sub) = 0: the primary component is the whole component
+                kernel, primary = None, sub
+            else:
+                kernel = _exact_nullspace(poly_eval_matrix(_pow_poly(prime, exp), sub))
+                primary = _restrict(sub, kernel)
             q_sub, fblocks = _cyclic_blocks(primary, target_degree=prime.m * exp)
             blocks.extend(fblocks)
-            # embed: component coords -> global coords
+            # embed: primary coords -> component coords -> global coords
             for col in range(q_sub.n):
-                vec_primary = [q_sub._d[i][col] for i in range(q_sub.n)]
-                vec_comp = [
-                    sum(kernel[k][i] * vec_primary[k] for k in range(len(kernel)))
-                    for i in range(len(comp))
-                ]
+                vec_comp = [q_sub._d[i][col] for i in range(q_sub.n)]
+                if kernel is not None:
+                    vec_comp = [
+                        sum(kernel[k][i] * vec_comp[k] for k in range(len(kernel)))
+                        for i in range(len(comp))
+                    ]
                 g = [Fraction(0)] * n
                 for local, glob in enumerate(comp):
                     g[glob] = vec_comp[local]
                 q_cols.append(g)
     q = Matrix.exact([[q_cols[c][i] for c in range(n)] for i in range(n)])
     s = q.inverse()
-    form = FrobeniusForm(blocks=blocks, S=s)
+    form = FrobeniusForm(blocks=blocks, S=s, S_inv=q)
     if (s @ a) != (form.companion_sum() @ s):
         raise ArithmeticError("Frobenius residual is nonzero")  # pragma: no cover
     return form
@@ -737,7 +752,7 @@ def involutory_diagonalizable_split(a: Matrix, reserved=()) -> ExactSplit:
             w_blocks.append(split.R)
             spectrum.extend(x - 1 for x in lams)
             used.update(x - 1 for x in lams)
-    s_inv = form.S.inverse()
+    s_inv = form.S_inv
     v = s_inv @ direct_sum(*v_blocks) @ form.S
     d = s_inv @ direct_sum(*d_blocks) @ form.S
     w = s_inv @ direct_sum(*w_blocks)

@@ -10,8 +10,10 @@ floating-only and backed by LAPACK through numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,6 +131,12 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise PathwayMismatch(f"exact pathway requires rational entries, got {x!r}")
+
+
+def _integer_grid(grid) -> tuple[list[list[int]], int]:
+    """Integer rows and a common denominator whose quotient is `grid`."""
+    den = math.lcm(*(x.denominator for row in grid for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in grid], den
 
 
 class Matrix:
@@ -261,23 +269,24 @@ class Matrix:
         return Matrix(self.n, "floating", -self._d)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Matrix product; bit-exact on the exact pathway.
+
+        Exact operands are scaled once to integer grids by the lcm of their
+        denominators, so the dot products run on Python integers and each
+        output entry costs one gcd (in its ``Fraction``) instead of one per
+        term.
+        """
         self._check(other)
         n = self.n
         if self.pathway == "exact":
-            # skipping zero terms pays off on the block-sparse matrices the
-            # canonical pipelines produce
-            bcols = list(zip(*other._d))
-            zero = Fraction(0)
+            ia, da = _integer_grid(self._d)
+            ib, db = _integer_grid(other._d)
+            bcols = list(zip(*ib))
+            den = da * db
             return Matrix(
                 n,
                 "exact",
-                tuple(
-                    tuple(
-                        sum((a * b for a, b in zip(row, col) if a and b), zero)
-                        for col in bcols
-                    )
-                    for row in self._d
-                ),
+                tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in bcols) for row in ia),
             )
         return Matrix(n, "floating", self._d @ other._d)
 

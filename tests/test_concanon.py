@@ -63,13 +63,15 @@ class TestSolveConsimilarity:
         res = (Matrix.identity(2) @ s - s.conj() @ Matrix.identity(2)).frobenius_norm()
         assert res < 1e-10
 
-    def test_rotates_i_to_one(self):
-        # 1x1 algebra: conj(s)^{-1} i s = 1 at s = r e^{-i pi/4}
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rotates_i_to_one(self, seed):
+        # 1x1 algebra: conj(s)^{-1} i s = 1 at s = r e^{-i pi/4} and at its
+        # negative r e^{3i pi/4}; both have s^2 / |s|^2 = -i
         a, b = Matrix.floating([[1j]]), Matrix.floating([[1]])
-        s = solve_consimilarity(a, b)
+        s = solve_consimilarity(a, b, seed=seed)
         assert s is not None
         val = complex(s[0, 0])
-        assert abs(abs(np.angle(val)) - np.pi / 4) < 1e-10
+        assert abs(val * val / abs(val) ** 2 + 1j) < 1e-10
         assert abs(a[0, 0] * val - np.conj(val) * 1.0) < 1e-12
 
     def test_modulus_obstruction(self):

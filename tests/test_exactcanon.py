@@ -1,5 +1,8 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coninv import (
@@ -12,11 +15,15 @@ from coninv import (
     involutory_plus_diagonal_split,
     involutory_split_companion,
     is_squarefree,
+    matrix_from_json,
+    matrix_to_json,
     merge_companions,
     minimal_polynomial,
     poly_gcd,
     poly_mul,
 )
+from coninv.certify import KIND_INV_DIAG, Decomposition, decomposition_to_json
+from coninv.exactcanon import _coeffs, _components, _pdivmod, factor_prime_powers, poly_eval_matrix
 
 
 def rational_matrix(rng, n, num=6, den=3):
@@ -86,6 +93,115 @@ class TestFrobenius:
         assert minimal_polynomial(Matrix.identity(3, "exact")) == Polynomial((F(1),))
         j2 = Matrix.exact([[0, 1], [0, 0]])
         assert minimal_polynomial(direct_sum(j2, Matrix.zeros(1, "exact"))) == Polynomial((F(0), F(0)))
+
+    def test_inverse_is_carried(self, rng):
+        for a in (rational_matrix(rng, 5), direct_sum(jordan(2, F(1)), companion(Polynomial((F(0), F(-1)))))):
+            form = frobenius_form(a)
+            assert form.S_inv @ form.S == Matrix.identity(a.n, "exact")
+
+
+def jordan(m, lam):
+    return Matrix.exact([[lam if i == j else F(int(j == i + 1)) for j in range(m)] for i in range(m)])
+
+
+def unimodular(rng, n):
+    """Seeded integer matrix of determinant 1 (unit upper times unit lower)."""
+    upper = [[int(rng.integers(-2, 3)) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    lower = [[int(rng.integers(-2, 3)) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    return Matrix.exact(upper) @ Matrix.exact(lower)
+
+
+def poly_from_roots(*roots):
+    return Polynomial.from_roots([F(r) for r in roots])
+
+
+#: (input, its minimal polynomial): derogatory inputs, where the minimal
+#: polynomial is a proper divisor of the characteristic polynomial
+MINPOLY_CASES = {
+    "identity-3": (Matrix.identity(3, "exact"), poly_from_roots(1)),
+    "j2(0)+0": (direct_sum(jordan(2, F(0)), Matrix.zeros(1, "exact")), poly_from_roots(0, 0)),
+    "j2+j2+j1": (
+        direct_sum(jordan(2, F(3, 2)), jordan(2, F(3, 2)), jordan(1, F(3, 2))),
+        poly_from_roots(F(3, 2), F(3, 2)),
+    ),
+    # (x - 1)^2 (x^2 + 1) (x^2 + 1): two coprime prime-power factors
+    "coprime-factors": (
+        direct_sum(jordan(2, F(1)), companion(Polynomial((F(0), F(-1)))), companion(Polynomial((F(0), F(-1))))),
+        poly_mul(poly_from_roots(1, 1), Polynomial((F(0), F(-1)))),
+    ),
+    # e0 is an eigenvector (order x - 2) while e2 has order (x - 2)(x - 3)^2
+    "low-order-e0": (Matrix.exact([[2, 1, 0], [0, 3, 1], [0, 0, 3]]), poly_from_roots(2, 3, 3)),
+}
+
+
+def _divides(f, g):
+    return _pdivmod(_coeffs(g), _coeffs(f))[1] == [F(0)]
+
+
+class TestMinimalPolynomial:
+    def check_minimal(self, a, mp):
+        n = a.n
+        assert poly_eval_matrix(mp, a) == Matrix.zeros(n, "exact")
+        for prime, _ in factor_prime_powers(mp):
+            cofactor = _pdivmod(_coeffs(mp), _coeffs(prime))[0]
+            if len(cofactor) > 1:  # a constant cofactor 1 evaluates to I
+                assert not poly_eval_matrix(Polynomial.from_monic_coeffs(cofactor), a).is_zero()
+        assert _divides(mp, a.char_poly())
+
+    @pytest.mark.parametrize("name", sorted(MINPOLY_CASES))
+    def test_derogatory(self, name):
+        a, expected = MINPOLY_CASES[name]
+        mp = minimal_polynomial(a)
+        assert mp == expected
+        self.check_minimal(a, mp)
+
+    @pytest.mark.parametrize("name", sorted(MINPOLY_CASES))
+    def test_hidden_by_unimodular_similarity(self, name):
+        a, expected = MINPOLY_CASES[name]
+        rng = np.random.default_rng(sorted(MINPOLY_CASES).index(name))
+        t = unimodular(rng, a.n)
+        t_inv = t.inverse()
+        assert all(x.denominator == 1 for row in t_inv.rows() for x in row)
+        hidden = t_inv @ a @ t
+        mp = minimal_polynomial(hidden)
+        assert mp == expected
+        self.check_minimal(hidden, mp)
+
+    def test_generic_input_is_cyclic(self, rng):
+        for _ in range(5):
+            a = rational_matrix(rng, 6)
+            mp = minimal_polynomial(a)
+            assert mp == a.char_poly()
+            self.check_minimal(a, mp)
+
+    def test_coprime_factors_take_the_primary_decomposition(self):
+        a, _ = MINPOLY_CASES["coprime-factors"]
+        rng = np.random.default_rng(7)
+        t = unimodular(rng, a.n)
+        hidden = t.inverse() @ a @ t
+        form = frobenius_form(hidden)
+        assert len(_components(hidden)) == 1
+        assert len(factor_prime_powers(minimal_polynomial(hidden))) == 2
+        assert block_multiset(form) == sorted([(F(2), F(-1)), (F(0), F(-1)), (F(0), F(-1))])
+        assert form.S @ hidden == form.companion_sum() @ form.S
+
+
+class TestFrozenThm1a:
+    """thm1a outputs (V, D, W and the spectrum) of three seeded inputs, frozen
+    before the exact layer moved to integer-kernel products and the
+    vector-order minimal polynomial: a dyadic rounding of a Gaussian 5 x 5
+    and small rationals p/q (|p| <= 9, 1 <= q <= 4) at n = 8 and n = 12.
+    The exact pathway has one correct answer per input; these pin it."""
+
+    CASES = json.loads((Path(__file__).parent / "data" / "thm1a_frozen.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+    def test_reproduced_literally(self, case):
+        sp = involutory_diagonalizable_split(matrix_from_json(case["input"]))
+        dec = Decomposition(kind=KIND_INV_DIAG, summands=[sp.V, sp.D])
+        assert decomposition_to_json(dec) == case["decomposition"]
+        assert matrix_to_json(sp.W) == case["W"]
+        assert [str(x) for x in sp.spectrum] == case["spectrum"]
 
 
 class TestMerge:

@@ -63,6 +63,63 @@ class TestArith:
         assert third == a
 
 
+def fraction_matmul(a, b):
+    """Reference product: one Fraction multiply and add per term."""
+    n = a.n
+    return [[sum((a[i, k] * b[k, j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
+
+
+def seeded_rational(rng, n, dens):
+    return Matrix.exact([[F(int(rng.integers(-50, 51)), int(rng.choice(dens))) for _ in range(n)] for _ in range(n)])
+
+
+class TestExactMatmul:
+    """The integer kernel of the exact product against the per-term
+    Fraction reference: equal values, and every entry a reduced Fraction."""
+
+    def check(self, a, b):
+        prod = a @ b
+        assert prod.rows() == fraction_matmul(a, b)
+        for row in prod.rows():
+            for x in row:
+                assert type(x) is F
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_mixed_denominators(self, rng, n):
+        for _ in range(3):
+            self.check(seeded_rational(rng, n, [1, 2, 3, 4, 6, 12]), seeded_rational(rng, n, [1, 5, 10, 25]))
+
+    def test_coprime_denominators(self, rng):
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+        a = seeded_rational(rng, 6, primes)
+        b = seeded_rational(rng, 6, primes[::-1])
+        self.check(a, b)
+        self.check(b, a)
+
+    def test_zero_rows_and_columns(self, rng):
+        a = seeded_rational(rng, 5, [1, 3, 7]).rows()
+        b = seeded_rational(rng, 5, [2, 9]).rows()
+        a[2] = [F(0)] * 5
+        for row in b:
+            row[3] = F(0)
+        a, b = Matrix.exact(a), Matrix.exact(b)
+        self.check(a, b)
+        prod = (a @ b).rows()
+        assert prod[2] == [0] * 5
+        assert [row[3] for row in prod] == [0] * 5
+        self.check(a, Matrix.zeros(5, "exact"))
+
+    def test_one_by_one_and_negatives(self):
+        self.check(Matrix.exact([[F(-3, 4)]]), Matrix.exact([[F(-8, 9)]]))
+        assert Matrix.exact([[F(-3, 4)]]) @ Matrix.exact([[F(-8, 9)]]) == Matrix.exact([[F(2, 3)]])
+
+    def test_cancellation_reduces(self):
+        a = Matrix.exact([[F(1, 6), F(1, 3)], [F(-1, 2), F(5, 4)]])
+        b = Matrix.exact([[F(3), F(-2, 5)], [F(3, 2), F(1, 5)]])
+        assert (a @ b).rows() == [[F(1), F(0)], [F(3, 8), F(9, 20)]]
+        self.check(a, b)
+
+
 class TestConj:
     def test_imag_flip(self):
         assert Matrix.floating([[1j]]).conj() == Matrix.floating([[-1j]])
