@@ -35,11 +35,11 @@ from .certify import (
 )
 from .concanon import consimilar_to_real
 from .exactcanon import (
-    _integer_stream,
+    _distinct_values,
+    _split_block,
     frobenius_form,
     involutory_diagonalizable_split,
     involutory_plus_diagonal_split,
-    involutory_split_companion,
     merge_companions,
     poly_mul,
 )
@@ -50,6 +50,7 @@ from .matcore import (
     Polynomial,
     Tolerance,
     UnsupportedSize,
+    _block_permutation,
     direct_sum,
 )
 
@@ -246,24 +247,6 @@ def _exact_coninv_plus_diag(b: Matrix, reserved=()) -> tuple[Matrix, Matrix, tup
     return split.W, c, split.spectrum
 
 
-def _companion_coninv_plus_diag(f, used: set) -> tuple[Matrix, Matrix, tuple]:
-    """Same contract as above, straight from a companion block's polynomial
-    (the blocks coming out of the Frobenius form need no second pass)."""
-    if f.m == 1:
-        val = Fraction(f.a[0])
-        sign = Fraction(1)
-        if (val - 1) in used and (val + 1) not in used:
-            sign = Fraction(-1)
-        return Matrix.identity(1, "exact"), Matrix.exact([[sign]]), (val - sign,)
-    from .exactcanon import _choose_lambdas
-
-    lams = _choose_lambdas(f.m, Fraction(f.a[0]) + 2, used)
-    sp = involutory_split_companion(f, lams)
-    r_inv = sp.R.inverse()
-    c = r_inv @ sp.G @ sp.R
-    return sp.R, c, tuple(x - 1 for x in lams)
-
-
 def coninvolutory_condiagonalizable_split(
     a: Matrix,
     *,
@@ -307,25 +290,6 @@ def coninvolutory_plus_real_diagonal(
 # ---------------------------------------------------------------------------
 
 
-def _pick_distinct_mus(count: int, total: Fraction, reserved: set[Fraction]) -> list[Fraction]:
-    """`count` distinct rationals outside `reserved` summing to `total`."""
-    stream = _integer_stream()
-    base: list[Fraction] = []
-    while len(base) < count - 1:
-        cand = next(stream)
-        if cand not in reserved:
-            base.append(cand)
-    while True:
-        last = total - sum(base)
-        if last not in base and last not in reserved:
-            return base + [last]
-        while True:
-            cand = next(stream)
-            if cand not in reserved and cand not in base[:-1]:
-                base[-1] = cand
-                break
-
-
 def _odd_real_summands(
     b: Matrix,
     *,
@@ -353,20 +317,12 @@ def _odd_real_summands(
         if flip:
             partner = order[1]
         order = [order[0], partner] + [i for i in order[1:] if i != partner]
-        perm_cols = []
-        offsets = np.cumsum([0] + sizes).tolist()
-        for i in order:
-            perm_cols.extend(range(offsets[i], offsets[i] + sizes[i]))
-        n = b.n
-        p = np.zeros((n, n))
-        for new, old in enumerate(perm_cols):
-            p[old, new] = 1.0
-        u = u @ Matrix.floating(p)
+        u = u @ _block_permutation(sizes, order)
         blocks = [blocks[i] for i in order]
         vals = [Fraction(f.a[0]) for f in blocks]
         if flip:
             # [a] and [-a] are consimilar via the 1-by-1 transform [i]
-            phi = np.eye(n, dtype=complex)
+            phi = np.eye(b.n, dtype=complex)
             phi[1, 1] = 1j
             u = u @ Matrix.floating(phi)
             vals[1] = -vals[1]
@@ -380,15 +336,7 @@ def _odd_real_summands(
         log.append({"step": "merge-scalars", "values": [str(vals[0]), str(vals[1])]})
     elif lead != 0:
         order = [lead] + [i for i in order if i != lead]
-        offsets = np.cumsum([0] + sizes).tolist()
-        perm_cols = []
-        for i in order:
-            perm_cols.extend(range(offsets[i], offsets[i] + sizes[i]))
-        n = b.n
-        p = np.zeros((n, n))
-        for new, old in enumerate(perm_cols):
-            p[old, new] = 1.0
-        u = u @ Matrix.floating(p)
+        u = u @ _block_permutation(sizes, order)
         blocks = [blocks[i] for i in order]
         log.append({"step": "lead-block-swap", "index": lead})
 
@@ -398,18 +346,18 @@ def _odd_real_summands(
     pure_even_binomial = m1 == 2 and a11 == 0
     mu1 = Fraction(2) if pure_even_binomial else Fraction(0)
     total = a11 + 2 - m1
-    rest_mus = _pick_distinct_mus(m1 - 1, total - mu1, {mu1})
-    mus = [mu1] + rest_mus
+    mus = [mu1, *_distinct_values(m1 - 1, total - mu1, {mu1})]
     sp = involutory_plus_diagonal_split(f1, mus)
     w_blocks = [sp.R]
     conin_blocks = [sp.G]
     diag_values: list[Fraction] = list(mus)
     used: set[Fraction] = set(mus)
     for f in blocks[1:]:
-        w_i, c_i, vals_i = _companion_coninv_plus_diag(f, used)
+        # the remaining blocks as coninvolutory + diagonal, R^{-1} G R + diag
+        g, _, r, vals_i = _split_block(f, used)
         used.update(vals_i)
-        w_blocks.append(w_i)
-        conin_blocks.append(c_i)
+        w_blocks.append(r)
+        conin_blocks.append(g if f.m == 1 else r.inverse() @ g @ r)
         diag_values.extend(vals_i)
     w_all = direct_sum(*w_blocks)
     u = u @ w_all.to_floating()

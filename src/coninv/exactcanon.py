@@ -19,6 +19,7 @@ from .matcore import (
     PathwayMismatch,
     Polynomial,
     _integer_grid,
+    _rref,
     direct_sum,
 )
 
@@ -218,78 +219,41 @@ def _exact_nullspace(m: Matrix) -> list[list[Fraction]]:
     """Basis of the right nullspace over Q (list of length-n vectors)."""
     n = m.n
     rows = [list(r) for r in m._d]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(n) if c not in piv_cols]
+    pivots = _rref(rows, n)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for ri, pc in enumerate(piv_cols):
+        for ri, pc in enumerate(pivots):
             v[pc] = -rows[ri][fc]
         basis.append(v)
     return basis
 
 
-class _Spin:
-    """Incremental Krylov dependence detector with coefficient tracking."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.reduced: list[tuple[list[Fraction], list[Fraction]]] = []
-        self.pivots: list[int] = []
-        self.count = 0
-
-    def push(self, vec: list[Fraction]) -> list[Fraction] | None:
-        """Add a vector; returns dependency coefficients over the previously
-        pushed vectors when the new one is dependent, else None."""
-        v = list(vec)
-        expr = [Fraction(0)] * self.count + [Fraction(1)]
-        for (rv, rexpr), p in zip(self.reduced, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, rv)]
-                grow = max(len(expr), len(rexpr))
-                expr = [
-                    (expr[i] if i < len(expr) else Fraction(0))
-                    - f * (rexpr[i] if i < len(rexpr) else Fraction(0))
-                    for i in range(grow)
-                ]
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
-        if piv is None:
-            # dependent: expr has trailing coefficient 1 for the new vector
-            return [-c for c in expr[:-1]]
-        inv = 1 / v[piv]
-        self.reduced.append(([x * inv for x in v], [c * inv for c in expr]))
-        self.pivots.append(piv)
-        self.count += 1
-        return None
-
-
 def _vector_order(m: Matrix, v: list[Fraction]) -> Polynomial:
-    """Minimal monic annihilator of v under m (the order of v)."""
-    spin = _Spin(m.n)
+    """Minimal monic annihilator of v under m (the order of v).
+
+    Each Krylov vector m^k v is reduced against the echelon rows of the
+    earlier ones while its expression in v, ..., m^k v is tracked; the first
+    one that reduces to zero gives the dependency.  The spin stops there, so
+    a vector of low order costs only a few products.
+    """
+    reduced: list[tuple[list[Fraction], list[Fraction], int]] = []
     cur = list(v)
     while True:
-        dep = spin.push(cur)
-        if dep is not None:
-            # m^d v = dep[d-1] m^(d-1) v + ... + dep[0] v
-            return Polynomial(tuple(reversed(dep)))
+        w = list(cur)
+        expr = [Fraction(0)] * len(reduced) + [Fraction(1)]
+        for rv, rexpr, p in reduced:
+            f = w[p]
+            if f != 0:
+                w = [x - f * y if y else x for x, y in zip(w, rv)]
+                expr = [x - f * y for x, y in zip(expr, rexpr)] + expr[len(rexpr) :]
+        piv = next((i for i, x in enumerate(w) if x != 0), None)
+        if piv is None:
+            # m^d v = a1 m^(d-1) v + ... + ad v, with expr = (-ad, ..., -a1, 1)
+            return Polynomial(tuple(-c for c in reversed(expr[:-1])))
+        inv = 1 / w[piv]
+        reduced.append(([x * inv for x in w], [c * inv for c in expr], piv))
         cur = _apply(m, cur)
 
 
@@ -364,8 +328,9 @@ def _submatrix(a: Matrix, idx: list[int]) -> Matrix:
     return Matrix.exact([[a._d[i][j] for j in idx] for i in idx])
 
 
-def _solve_sylvester_exact(c: Matrix, y: Matrix, x: Matrix) -> Matrix:
-    """Solve C Z - Z Y = -X over Q (consistency is guaranteed by the caller)."""
+def _solve_sylvester_exact(c: Matrix, y: Matrix, x: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Solve C Z - Z Y = -X over Q for the d x r rows Z, given the d x r rows
+    X (consistency is guaranteed by the caller)."""
     d, r = c.n, y.n
     nunk = d * r
     # row-major vec: vec(C Z) = kron(C, I) z ; vec(Z Y) = kron(I, Y^T) z
@@ -377,30 +342,15 @@ def _solve_sylvester_exact(c: Matrix, y: Matrix, x: Matrix) -> Matrix:
                 eq[k * r + j] += c._d[i][k]
             for k in range(r):
                 eq[i * r + k] -= y._d[k][j]
-            eq[nunk] = -x._d[i][j]
-    # exact RREF, then read a particular solution
-    piv_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(nunk):
-        piv = next((i for i in range(rank, nunk) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(nunk):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
-        piv_of_col[col] = rank
-        rank += 1
-    for i in range(rank, nunk):
-        if rows[i][nunk] != 0:
-            raise ArithmeticError("inconsistent Sylvester system")
+            eq[nunk] = -x[i][j]
+    # RREF of [M | b], then the particular solution with zero free unknowns
+    pivots = _rref(rows, nunk)
+    if any(row[nunk] != 0 for row in rows[len(pivots) :]):
+        raise ArithmeticError("inconsistent Sylvester system")
     z = [Fraction(0)] * nunk
-    for col, ri in piv_of_col.items():
+    for ri, col in enumerate(pivots):
         z[col] = rows[ri][nunk]
-    return Matrix.exact([[z[i * r + j] for j in range(r)] for i in range(d)])
+    return [z[i * r : (i + 1) * r] for i in range(d)]
 
 
 def _cyclic_blocks(m: Matrix, target_degree: int | None = None) -> tuple[Matrix, list[Polynomial]]:
@@ -431,39 +381,27 @@ def _cyclic_blocks(m: Matrix, target_degree: int | None = None) -> tuple[Matrix,
     cols = [v]
     for _ in range(d - 1):
         cols.append(_apply(m, cols[-1]))
-    # greedily complete the Krylov chain to a basis with standard vectors
-    spin = _Spin(n)
-    for cvec in cols:
-        if spin.push(cvec) is not None:  # pragma: no cover - order is minimal
-            raise ArithmeticError("Krylov chain collapsed early")
-    extra = []
-    for i in range(n):
-        if len(cols) + len(extra) == n:
-            break
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        if spin.push(e) is None:
-            extra.append(e)
-    p = Matrix.exact([[col[i] for col in cols + extra] for i in range(n)])
     if d == n:
-        return p, [f]
-    b = p.inverse() @ m @ p
-    c_blk = Matrix.exact([[b._d[i][j] for j in range(d)] for i in range(d)])
-    x_blk = Matrix.exact([[b._d[i][j + d] for j in range(n - d)] for i in range(d)]) if n - d else None
-    y_blk = Matrix.exact([[b._d[i + d][j + d] for j in range(n - d)] for i in range(n - d)])
-    for i in range(d, n):
-        for j in range(d):
-            if b._d[i][j] != 0:
-                raise ArithmeticError("Krylov span was not invariant")
+        return Matrix.exact([[col[i] for col in cols] for i in range(n)]), [f]
+    # the pivot columns of [chain | I] past the chain complete the chain
+    # greedily with standard vectors to a basis P, and the right half of the
+    # reduced [chain | I] is then P^{-1}
+    aug = [[col[i] for col in cols] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    extra = [c - d for c in _rref(aug, d + n)[d:]]
+    p = Matrix.exact([[col[i] for col in cols] + [Fraction(int(i == j)) for j in extra] for i in range(n)])
+    b = Matrix.exact([row[d:] for row in aug]) @ m @ p
+    if any(b._d[i][j] != 0 for i in range(d, n) for j in range(d)):
+        raise ArithmeticError("Krylov span was not invariant")
+    c_blk = Matrix.exact([row[:d] for row in b._d[:d]])
+    x_blk = [list(row[d:]) for row in b._d[:d]]
+    y_blk = Matrix.exact([row[d:] for row in b._d[d:]])
     z = _solve_sylvester_exact(c_blk, y_blk, x_blk)
     # [[I, Z],[0, I]] absorbs the coupling block
     t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(d):
-        for j in range(n - d):
-            t[i][j + d] = z._d[i][j]
-    t_m = Matrix.exact(t)
+        t[i][d:] = z[i]
     q_sub, blocks = _cyclic_blocks(y_blk)
-    q = p @ t_m @ direct_sum(Matrix.identity(d, "exact"), q_sub)
+    q = p @ Matrix.exact(t) @ direct_sum(Matrix.identity(d, "exact"), q_sub)
     return q, [f] + blocks
 
 
@@ -526,31 +464,15 @@ def _pow_poly(p: Polynomial, e: int) -> Polynomial:
 def _restrict(a: Matrix, basis: list[list[Fraction]]) -> Matrix:
     """Matrix of A restricted to span(basis), in that basis (exact)."""
     k = len(basis)
-    n = a.n
-    # solve basis-matrix * X = A * basis-matrix  column by column
-    bmat = [[basis[j][i] for j in range(k)] for i in range(n)]  # n x k
-    imgs = [_apply(a, b) for b in basis]  # k columns, each length n
-    # RREF of [bmat | imgs]
-    aug = [bmat[i] + [imgs[j][i] for j in range(k)] for i in range(n)]
-    r = 0
-    piv_rows = []
-    for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ArithmeticError("basis columns are dependent")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append(r)
-        r += 1
-    for i in range(r, n):
-        if any(x != 0 for x in aug[i][k:]):
-            raise ArithmeticError("span is not invariant")
-    return Matrix.exact([[aug[i][k + j] for j in range(k)] for i in range(k)])
+    # RREF of [B | A B] for the n x k basis matrix B: its top k rows are [I | X]
+    # with B X = A B
+    imgs = [_apply(a, b) for b in basis]
+    aug = [[b[i] for b in basis] + [img[i] for img in imgs] for i in range(a.n)]
+    if len(_rref(aug, k)) < k:
+        raise ArithmeticError("basis columns are dependent")
+    if any(x != 0 for row in aug[k:] for x in row[k:]):
+        raise ArithmeticError("span is not invariant")
+    return Matrix.exact([row[k:] for row in aug[:k]])
 
 
 # ---------------------------------------------------------------------------
@@ -684,24 +606,41 @@ def _integer_stream():
         k += 1
 
 
-def _choose_lambdas(m: int, total: Fraction, used: set[Fraction]) -> tuple[Fraction, ...]:
-    """m pairwise-distinct values summing to `total`, with each value - 1
-    outside `used`; small integers first, the last slot absorbs the rest."""
+def _distinct_values(count: int, total: Fraction, avoid: set[Fraction]) -> tuple[Fraction, ...]:
+    """`count` pairwise-distinct rationals outside `avoid` summing to `total`;
+    small integers first, the last slot absorbs the rest."""
     stream = _integer_stream()
     base: list[Fraction] = []
-    while len(base) < m - 1:
+    while len(base) < count - 1:
         cand = next(stream)
-        if (cand - 1) not in used:
+        if cand not in avoid:
             base.append(cand)
     while True:
         last = total - sum(base)
-        if last not in base and (last - 1) not in used:
+        if last not in base and last not in avoid:
             return tuple(base + [last])
         while True:
             cand = next(stream)
-            if (cand - 1) not in used and cand not in base[:-1]:
+            if cand not in avoid and cand not in base[:-1]:
                 base[-1] = cand
                 break
+
+
+def _split_block(f: Polynomial, used: set[Fraction]) -> tuple[Matrix, Matrix, Matrix, tuple]:
+    """G, D, R and the spectrum for one companion block: companion(f) = G + D
+    with G involutory and R^{-1} D R = diag(spectrum).
+
+    The spectrum is pairwise distinct and avoids `used` wherever the block
+    allows: a scalar block [c] has only c - 1 and c + 1 to choose from and
+    takes c - 1 unless that is used and c + 1 is not.
+    """
+    if f.m == 1:
+        val = Fraction(f.a[0])
+        sign = Fraction(-1) if (val - 1) in used and (val + 1) not in used else Fraction(1)
+        return Matrix.exact([[sign]]), Matrix.exact([[val - sign]]), Matrix.identity(1, "exact"), (val - sign,)
+    lams = _distinct_values(f.m, Fraction(f.a[0]) + 2, {u + 1 for u in used})
+    split = involutory_split_companion(f, lams)
+    return split.G, split.D, split.R, tuple(x - 1 for x in lams)
 
 
 def involutory_diagonalizable_split(a: Matrix, reserved=()) -> ExactSplit:
@@ -715,43 +654,22 @@ def involutory_diagonalizable_split(a: Matrix, reserved=()) -> ExactSplit:
     """
     if a.pathway != "exact":
         raise PathwayMismatch("exact pathway required")
+    used: set[Fraction] = {Fraction(x) for x in reserved}
     if a.n == 1:
-        val = a._d[0][0]
-        taken = {Fraction(x) for x in reserved}
-        sign = Fraction(1)
-        if (val - 1) in taken and (val + 1) not in taken:
-            sign = Fraction(-1)
-        return ExactSplit(
-            V=Matrix.exact([[sign]]),
-            D=Matrix.exact([[val - sign]]),
-            W=Matrix.identity(1, "exact"),
-            spectrum=(val - sign,),
-        )
+        g, d, r, spectrum = _split_block(Polynomial((a._d[0][0],)), used)
+        return ExactSplit(V=g, D=d, W=r, spectrum=spectrum)
     comps = _components(a)
     if len(comps) > 1:
         return _split_by_components(a, comps, reserved)
     form = frobenius_form(a)
-    used: set[Fraction] = {Fraction(x) for x in reserved}
     v_blocks, d_blocks, w_blocks, spectrum = [], [], [], []
     for f in form.blocks:
-        if f.m == 1:
-            val = Fraction(f.a[0])
-            sign = Fraction(1)
-            if (val - 1) in used and (val + 1) not in used:
-                sign = Fraction(-1)
-            v_blocks.append(Matrix.exact([[sign]]))
-            d_blocks.append(Matrix.exact([[val - sign]]))
-            w_blocks.append(Matrix.identity(1, "exact"))
-            spectrum.append(val - sign)
-            used.add(val - sign)
-        else:
-            lams = _choose_lambdas(f.m, Fraction(f.a[0]) + 2, used)
-            split = involutory_split_companion(f, lams)
-            v_blocks.append(split.G)
-            d_blocks.append(split.D)
-            w_blocks.append(split.R)
-            spectrum.extend(x - 1 for x in lams)
-            used.update(x - 1 for x in lams)
+        g, d, r, values = _split_block(f, used)
+        v_blocks.append(g)
+        d_blocks.append(d)
+        w_blocks.append(r)
+        spectrum.extend(values)
+        used.update(values)
     s_inv = form.S_inv
     v = s_inv @ direct_sum(*v_blocks) @ form.S
     d = s_inv @ direct_sum(*d_blocks) @ form.S

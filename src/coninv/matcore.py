@@ -133,6 +133,34 @@ def _as_fraction(x) -> Fraction:
     raise PathwayMismatch(f"exact pathway requires rational entries, got {x!r}")
 
 
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan over Q, in place: bring the first `ncols` columns of
+    `rows` to reduced row echelon form, carrying any later columns along.
+
+    Returns the pivot columns; pivot k sits in row k, and the rows past the
+    last pivot are zero on the first `ncols` columns.  Row updates skip the
+    zero entries of the pivot row.
+    """
+    pivots: list[int] = []
+    nrows = len(rows)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        prow = rows[r] = [x * inv if x else x for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][col]
+            if i != r and f != 0:
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], prow)]
+        pivots.append(col)
+    return pivots
+
+
 def _integer_grid(grid) -> tuple[list[list[int]], int]:
     """Integer rows and a common denominator whose quotient is `grid`."""
     den = math.lcm(*(x.denominator for row in grid for x in row))
@@ -356,26 +384,18 @@ class Matrix:
         return Matrix.floating(self._d.real)
 
     def inverse(self, tol: Tolerance | None = None) -> "Matrix":
-        """Inverse by Gaussian elimination with partial pivoting.
+        """Inverse by Gauss-Jordan elimination.
 
-        Exact pathway: bit-exact; raises SingularMatrix on a zero pivot.
-        Floating pathway: raises SingularMatrix when the best pivot falls
-        below the rank tolerance.
+        Exact pathway: bit-exact, reducing [A | I]; raises SingularMatrix
+        when A is singular.
+        Floating pathway: partial pivoting; raises SingularMatrix when the
+        best pivot falls below the rank tolerance.
         """
         n = self.n
         if self.pathway == "exact":
             aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self._d)]
-            for col in range(n):
-                piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-                if piv is None:
-                    raise SingularMatrix("exact pivot is zero")
-                aug[col], aug[piv] = aug[piv], aug[col]
-                inv_p = 1 / aug[col][col]
-                aug[col] = [x * inv_p if x else x for x in aug[col]]
-                for r in range(n):
-                    if r != col and aug[r][col] != 0:
-                        f = aug[r][col]
-                        aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[col])]
+            if len(_rref(aug, n)) < n:
+                raise SingularMatrix("exact matrix is singular")
             return Matrix.exact([row[n:] for row in aug])
 
         t = tol or RANK_TOL
@@ -465,6 +485,18 @@ def direct_sum(*mats: Matrix) -> Matrix:
         arr[off : off + m.n, off : off + m.n] = m._d
         off += m.n
     return Matrix(n, "floating", arr)
+
+
+def _block_permutation(sizes: Sequence[int], order: Sequence[int]) -> Matrix:
+    """Floating permutation P with P^{-1} (direct sum of blocks) P equal to
+    the direct sum of the same blocks taken in `order`; `sizes` are the
+    block sizes in their current order."""
+    offsets = np.cumsum([0, *sizes]).tolist()
+    cols = [c for i in order for c in range(offsets[i], offsets[i] + sizes[i])]
+    n = offsets[-1]
+    p = np.zeros((n, n))
+    p[cols, range(n)] = 1.0
+    return Matrix.floating(p)
 
 
 def close(a: Matrix, b: Matrix, tol: Tolerance = DEFAULT_TOL) -> bool:

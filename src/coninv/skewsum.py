@@ -42,6 +42,7 @@ from .matcore import (
     Matrix,
     Tolerance,
     UnsupportedSize,
+    _block_permutation,
     direct_sum,
 )
 
@@ -262,16 +263,7 @@ def _permutation_for(blocks, target) -> Matrix:
         idx = next(i for i in remaining if blocks[i] == t)
         order.append(idx)
         remaining.remove(idx)
-    sizes = [s for _, s in blocks]
-    offsets = np.cumsum([0] + sizes).tolist()
-    cols = []
-    for i in order:
-        cols.extend(range(offsets[i], offsets[i] + sizes[i]))
-    n = sum(sizes)
-    p = np.zeros((n, n))
-    for new, old in enumerate(cols):
-        p[old, new] = 1.0
-    return Matrix.floating(p)
+    return _block_permutation([s for _, s in blocks], order)
 
 
 def _case2_summands(
@@ -341,7 +333,7 @@ def skew_sum_jordan(
     else:
         perm = Matrix.identity(a.n)
     lam2, eps2 = _layout(ordered)
-    a2 = perm.inverse() @ a @ perm
+    a2 = perm.transpose() @ a @ perm
 
     used: set[float] = set()
     direct = _case2_summands(lam2, eps2, used)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coninv import Matrix
+
+# property tests draw their examples deterministically and carry no time
+# deadline: the exact layer's timing varies with the host
+settings.register_profile("coninv", derandomize=True, deadline=None)
+settings.load_profile("coninv")
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coninv import (
     Matrix,
@@ -202,6 +204,40 @@ class TestFrozenThm1a:
         assert decomposition_to_json(dec) == case["decomposition"]
         assert matrix_to_json(sp.W) == case["W"]
         assert [str(x) for x in sp.spectrum] == case["spectrum"]
+
+
+@st.composite
+def hidden_jordan_sums(draw):
+    """A direct sum of Jordan blocks J_m(lam), 1 <= m <= 3, lam in -2..2, at
+    n <= 6, hidden by an integer unimodular similarity (unit upper times
+    unit lower, off-diagonal entries in -2..2)."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2)), min_size=1, max_size=6))
+    sizes = []
+    for m, _ in blocks:
+        if sum(sizes) + m > 6:
+            break
+        sizes.append(m)
+    a = direct_sum(*[jordan(m, F(lam)) for m, (_, lam) in zip(sizes, blocks)])
+    n = a.n
+    entry = st.integers(-2, 2)
+    upper = [[draw(entry) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    lower = [[draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    t = Matrix.exact(upper) @ Matrix.exact(lower)
+    return t.inverse() @ a @ t
+
+
+class TestHiddenJordanProperty:
+    """thm1a on hidden direct sums of Jordan blocks: derogatory and
+    non-cyclic inputs, where the Frobenius layer needs the primary
+    decomposition and the Sylvester deflation of `_cyclic_blocks`."""
+
+    @given(hidden_jordan_sums())
+    def test_thm1a_identities_hold_literally(self, a):
+        sp = involutory_diagonalizable_split(a)
+        eye = Matrix.identity(a.n, "exact")
+        assert sp.V @ sp.V == eye
+        assert sp.V + sp.D == a
+        assert sp.W.inverse() @ sp.D @ sp.W == Matrix.diag(sp.spectrum, "exact")
 
 
 class TestMerge:

@@ -21,6 +21,7 @@ from coninv.matcore import (
     RANK_TOL,
     SingularMatrix,
     UnsupportedSize,
+    _rref,
     numerical_rank,
 )
 
@@ -163,6 +164,100 @@ class TestInverse:
                 continue
             res = (a @ a.inverse() - Matrix.identity(5)).frobenius_norm()
             assert res <= Tolerance().bound(1.0)
+
+
+def sympy_rref(rows):
+    """Reference reduced row echelon form and pivot columns from sympy."""
+    import sympy
+
+    ref, pivots = sympy.Matrix(rows).rref()
+    return [[F(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(ref.rows)], list(pivots)
+
+
+def seeded_grid(rng, nrows, ncols, rank=None):
+    """Seeded rational nrows x ncols grid; `rank` bounds its rank by making
+    it a product of an nrows x rank and a rank x ncols factor."""
+    def grid(r, c):
+        return [[F(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(c)] for _ in range(r)]
+
+    if rank is None:
+        return grid(nrows, ncols)
+    left, right = grid(nrows, rank), grid(rank, ncols)
+    return [[sum((left[i][k] * right[k][j] for k in range(rank)), F(0)) for j in range(ncols)] for i in range(nrows)]
+
+
+class TestRref:
+    """`_rref`, the one Gauss-Jordan kernel of the exact pathway, against
+    sympy's reduced row echelon form."""
+
+    def check(self, rows, ncols):
+        reduced = [list(r) for r in rows]
+        pivots = _rref(reduced, ncols)
+        ref, ref_pivots = sympy_rref([r[:ncols] for r in rows])
+        assert pivots == ref_pivots
+        assert [r[:ncols] for r in reduced] == ref
+        for k, col in enumerate(pivots):
+            assert col < ncols
+            assert [r[col] for r in reduced] == [F(int(i == k)) for i in range(len(rows))]
+        assert all(x == 0 for r in reduced[len(pivots) :] for x in r[:ncols])
+        return reduced, pivots
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 6), (6, 2), (1, 5), (5, 1)], ids=str)
+    def test_full_rank(self, rng, shape):
+        for _ in range(3):
+            _, pivots = self.check(seeded_grid(rng, *shape), shape[1])
+            assert len(pivots) == min(shape)
+
+    @pytest.mark.parametrize("shape,rank", [((5, 5), 3), ((3, 7), 2), ((7, 3), 1), ((6, 6), 5)], ids=str)
+    def test_rank_deficient(self, rng, shape, rank):
+        for _ in range(3):
+            _, pivots = self.check(seeded_grid(rng, *shape, rank=rank), shape[1])
+            assert len(pivots) == rank
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)], ids=str)
+    def test_zero(self, shape):
+        rows = [[F(0)] * shape[1] for _ in range(shape[0])]
+        reduced, pivots = self.check(rows, shape[1])
+        assert pivots == [] and reduced == rows
+
+    def test_leading_zero_columns(self):
+        rows = [[F(0), F(0), F(2), F(4)], [F(0), F(0), F(1), F(3)]]
+        reduced, pivots = self.check(rows, 4)
+        assert pivots == [2, 3]
+        assert reduced == [[0, 0, 1, 0], [0, 0, 0, 1]]
+
+    def test_inverse_rides_along(self, rng):
+        for n in (1, 3, 6):
+            a = seeded_grid(rng, n, n)
+            aug = [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+            reduced, pivots = self.check(aug, n)
+            assert pivots == list(range(n))
+            inv = Matrix.exact([row[n:] for row in reduced])
+            assert Matrix.exact(a) @ inv == Matrix.identity(n, "exact")
+
+    def test_ride_along_columns_are_never_pivots(self, rng):
+        # [A | I] with A singular: the full RREF would pivot in I, the kernel must not
+        for shape, rank in (((4, 4), 2), ((5, 3), 1), ((3, 5), 2)):
+            a = seeded_grid(rng, *shape, rank=rank)
+            nrows, ncols = shape
+            aug = [row + [F(int(i == j)) for j in range(nrows)] for i, row in enumerate(a)]
+            reduced, pivots = self.check(aug, ncols)
+            assert len(pivots) == rank
+            # the rows are an invertible recombination of the input rows
+            ref, _ = sympy_rref(aug)
+            assert sympy_rref(reduced)[0] == ref
+            # so the ride-along half of the zero rows is a left-kernel basis of A
+            for row in reduced[rank:]:
+                left = row[ncols:]
+                assert any(left)
+                assert [sum((left[i] * a[i][j] for i in range(nrows)), F(0)) for j in range(ncols)] == [0] * ncols
+
+    def test_no_rows(self):
+        assert _rref([], 3) == []
+
+    def test_singular_exact_inverse_still_raises(self, rng):
+        with pytest.raises(SingularMatrix):
+            Matrix.exact(seeded_grid(rng, 4, 4, rank=3)).inverse()
 
 
 class TestCharPoly:
