@@ -3,7 +3,8 @@
 stdout carries exactly one JSON document; diagnostics go to stderr.
 Exit codes: 0 success, 2 parse/usage error (including the wrong pathway
 for the exact kinds), 3 numerical failure (a failed certificate, no
-verified canonical form, a LAPACK routine that did not converge),
+verified canonical form, a LAPACK routine that did not converge, a skew
+pair whose tuning parameter would leave its cap),
 4 unsupported input (odd size for skew sums, desk-scale overflow).
 """
 

@@ -230,56 +230,82 @@ def _exact_nullspace(m: Matrix) -> list[list[Fraction]]:
     return basis
 
 
-def _vector_order(m: Matrix, v: list[Fraction]) -> Polynomial:
-    """Minimal monic annihilator of v under m (the order of v).
+def _vector_order(grid: tuple[list[list[int]], int], v: list[int]) -> tuple[Polynomial, list[list[int]]]:
+    """Minimal monic annihilator of the integer vector v under A (the order
+    of v), and its integer Krylov chain U_j = (dA)^j v for j below the order's
+    degree; `grid` is A's integer grid (dA, d).
 
-    Each Krylov vector m^k v is reduced against the echelon rows of the
-    earlier ones while its expression in v, ..., m^k v is tracked; the first
-    one that reduces to zero gives the dependency.  The spin stops there, so
-    a vector of low order costs only a few products.
+    Each U_j is reduced fraction-free against the echelon rows of the
+    earlier ones while its expression in U_0, ..., U_j is tracked, and the
+    joint content of the two is divided out; the first one that reduces to
+    zero gives the dependency.  The spin stops there, so a vector of low
+    order costs only a few products.
     """
-    reduced: list[tuple[list[Fraction], list[Fraction], int]] = []
-    cur = list(v)
+    ia, den = grid
+    reduced: list[tuple[list[int], list[int], int]] = []
+    chain: list[list[int]] = []
+    cur = v
     while True:
-        w = list(cur)
-        expr = [Fraction(0)] * len(reduced) + [Fraction(1)]
-        for rv, rexpr, p in reduced:
+        w, expr = cur, [0] * len(reduced) + [1]
+        for rw, rexpr, p in reduced:
             f = w[p]
-            if f != 0:
-                w = [x - f * y if y else x for x, y in zip(w, rv)]
-                expr = [x - f * y for x, y in zip(expr, rexpr)] + expr[len(rexpr) :]
-        piv = next((i for i, x in enumerate(w) if x != 0), None)
+            if f:
+                g = math.gcd(rw[p], f)
+                a, b = rw[p] // g, f // g
+                w = [a * x - b * y for x, y in zip(w, rw)]
+                expr = [a * x - b * y for x, y in zip(expr, rexpr)] + [a * x for x in expr[len(rexpr) :]]
+                c = math.gcd(*w, *expr)
+                if c > 1:
+                    w, expr = [x // c for x in w], [x // c for x in expr]
+        piv = next((i for i, x in enumerate(w) if x), None)
         if piv is None:
-            # m^d v = a1 m^(d-1) v + ... + ad v, with expr = (-ad, ..., -a1, 1)
-            return Polynomial(tuple(-c for c in reversed(expr[:-1])))
-        inv = 1 / w[piv]
-        reduced.append(([x * inv for x in w], [c * inv for c in expr], piv))
-        cur = _apply(m, cur)
+            # sum_k expr[k] d^k A^k v = 0, so A^e v = a1 A^(e-1) v + ... + ae v
+            # with a_i = -expr[e - i] / (expr[e] d^i)
+            e = len(expr) - 1
+            return Polynomial(tuple(Fraction(-expr[e - i], expr[e] * den**i) for i in range(1, e + 1))), chain
+        reduced.append((w, expr, piv))
+        chain.append(cur)
+        cur = [sum(map(mul, row, cur)) for row in ia]
 
 
-def _apply(m: Matrix, v: list[Fraction]) -> list[Fraction]:
-    """m v, with integer dot products as in ``Matrix.__matmul__``."""
-    im, dm = _integer_grid(m._d)
+def _apply(grid: tuple[list[list[int]], int], v: list[Fraction]) -> list[Fraction]:
+    """A v for A's integer grid (dA, d), with integer dot products as in
+    ``Matrix.__matmul__``."""
+    ia, da = grid
     (iv,), dv = _integer_grid([v])
-    den = dm * dv
-    return [Fraction(sum(map(mul, row, iv)), den) for row in im]
+    den = da * dv
+    return [Fraction(sum(map(mul, row, iv)), den) for row in ia]
+
+
+def _standard_spins(a: Matrix, degree: int) -> tuple[list[Fraction], list[tuple[Polynomial, list[list[int]]]], int]:
+    """Spin e_0, e_1, ... under A until the lcm of their orders reaches
+    `degree` or the basis runs out.
+
+    Returns the lcm (descending coefficients), each spin as (order, integer
+    Krylov chain), and the denominator d of A's integer grid: the chain of
+    e_i is A^j e_i = U_j / d^j.  With `degree` = n the lcm is the minimal
+    polynomial, since a polynomial annihilates A exactly when it annihilates
+    a basis.
+    """
+    n = a.n
+    grid = _integer_grid(a._d)
+    spins = []
+    for i in range(n):
+        order, chain = _vector_order(grid, [int(j == i) for j in range(n)])
+        spins.append((order, chain))
+        c = _coeffs(order)
+        lcm = c if i == 0 else _pmul(lcm, _pdivmod(c, _pgcd(lcm, c))[0])
+        if len(lcm) - 1 == degree:
+            break
+    return lcm, spins, grid[1]
 
 
 def minimal_polynomial(a: Matrix) -> Polynomial:
     """Exact minimal polynomial: the lcm of the orders of the standard basis
-    vectors (a polynomial annihilates A exactly when it annihilates a basis),
-    accumulated until the degree reaches n."""
+    vectors, accumulated until the degree reaches n."""
     if a.pathway != "exact":
         raise PathwayMismatch("minimal_polynomial requires the exact pathway")
-    n = a.n
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        order = _coeffs(_vector_order(a, e))
-        mp = order if i == 0 else _pmul(mp, _pdivmod(order, _pgcd(mp, order))[0])
-        if len(mp) - 1 == n:
-            break
-    return Polynomial.from_monic_coeffs(mp)
+    return Polynomial.from_monic_coeffs(_standard_spins(a, a.n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +379,22 @@ def _solve_sylvester_exact(c: Matrix, y: Matrix, x: list[list[Fraction]]) -> lis
     return [z[i * r : (i + 1) * r] for i in range(d)]
 
 
-def _cyclic_blocks(m: Matrix, target_degree: int | None = None) -> tuple[Matrix, list[Polynomial]]:
+def _cyclic_blocks(
+    m: Matrix, spins: list[tuple[Polynomial, list[list[int]]]], den: int
+) -> tuple[Matrix, list[Polynomial]]:
     """Q and block polynomials with M = Q (direct-sum companions) Q^{-1}.
 
-    Assumes the minimal polynomial of M is a prime power, so a maximal-order
-    vector can be found among the standard basis vectors; when the minimal
-    polynomial degree is known the scan stops at the first vector achieving it.
+    Assumes the minimal polynomial of M is a prime power, so the orders of
+    the standard basis vectors are powers of one prime and the first spin
+    of maximal order (from ``_standard_spins(m, ...)``, with grid
+    denominator `den`) is a maximal-order vector and its Krylov chain.
     """
     n = m.n
     if n == 0:
         raise ValueError("empty block")
-    orders = []
-    best = None
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        orders.append(_vector_order(m, e))
-        if target_degree is not None and orders[-1].m == target_degree:
-            best = i
-            break
-    if best is None:
-        best = max(range(len(orders)), key=lambda i: orders[i].m)
-    f = orders[best]
+    f, chain = max(spins, key=lambda s: s[0].m)
     d = f.m
-    v = [Fraction(0)] * n
-    v[best] = Fraction(1)
-    cols = [v]
-    for _ in range(d - 1):
-        cols.append(_apply(m, cols[-1]))
+    cols = [[Fraction(x, den**j) for x in u] for j, u in enumerate(chain)]
     if d == n:
         return Matrix.exact([[col[i] for col in cols] for i in range(n)]), [f]
     # the pivot columns of [chain | I] past the chain complete the chain
@@ -400,7 +414,8 @@ def _cyclic_blocks(m: Matrix, target_degree: int | None = None) -> tuple[Matrix,
     t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(d):
         t[i][d:] = z[i]
-    q_sub, blocks = _cyclic_blocks(y_blk)
+    _, y_spins, y_den = _standard_spins(y_blk, y_blk.n)
+    q_sub, blocks = _cyclic_blocks(y_blk, y_spins, y_den)
     q = p @ Matrix.exact(t) @ direct_sum(Matrix.identity(d, "exact"), q_sub)
     return q, [f] + blocks
 
@@ -422,16 +437,18 @@ def frobenius_form(a: Matrix) -> FrobeniusForm:
     q_cols: list[list[Fraction]] = []
     for comp in comps:
         sub = _submatrix(a, comp)
-        mp = minimal_polynomial(sub)
-        factors = factor_prime_powers(mp)
+        mp, spins, den = _standard_spins(sub, sub.n)
+        factors = factor_prime_powers(Polynomial.from_monic_coeffs(mp))
         for prime, exp in factors:
             if len(factors) == 1:
-                # mp(sub) = 0: the primary component is the whole component
+                # mp(sub) = 0: the primary component is the whole component,
+                # and the spins of the minimal polynomial are its spins
                 kernel, primary = None, sub
             else:
                 kernel = _exact_nullspace(poly_eval_matrix(_pow_poly(prime, exp), sub))
                 primary = _restrict(sub, kernel)
-            q_sub, fblocks = _cyclic_blocks(primary, target_degree=prime.m * exp)
+                _, spins, den = _standard_spins(primary, prime.m * exp)
+            q_sub, fblocks = _cyclic_blocks(primary, spins, den)
             blocks.extend(fblocks)
             # embed: primary coords -> component coords -> global coords
             for col in range(q_sub.n):
@@ -466,7 +483,8 @@ def _restrict(a: Matrix, basis: list[list[Fraction]]) -> Matrix:
     k = len(basis)
     # RREF of [B | A B] for the n x k basis matrix B: its top k rows are [I | X]
     # with B X = A B
-    imgs = [_apply(a, b) for b in basis]
+    grid = _integer_grid(a._d)
+    imgs = [_apply(grid, b) for b in basis]
     aug = [[b[i] for b in basis] + [img[i] for img in imgs] for i in range(a.n)]
     if len(_rref(aug, k)) < k:
         raise ArithmeticError("basis columns are dependent")
@@ -493,9 +511,10 @@ def merge_companions(f: Polynomial, g: Polynomial) -> tuple[Matrix, Matrix]:
     v = [Fraction(0)] * n
     v[0] = Fraction(1)
     v[f.m] = Fraction(1)
+    grid = _integer_grid(m._d)
     cols = [v]
     for _ in range(n - 1):
-        cols.append(_apply(m, cols[-1]))
+        cols.append(_apply(grid, cols[-1]))
     k = Matrix.exact([[col[i] for col in cols] for i in range(n)])
     t = k.inverse()
     fr = companion(poly_mul(f, g))

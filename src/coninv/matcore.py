@@ -137,27 +137,56 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
     """Gauss-Jordan over Q, in place: bring the first `ncols` columns of
     `rows` to reduced row echelon form, carrying any later columns along.
 
-    Returns the pivot columns; pivot k sits in row k, and the rows past the
-    last pivot are zero on the first `ncols` columns.  Row updates skip the
-    zero entries of the pivot row.
+    Returns the pivot columns.  Pivot k sits in row k and is 1.  The rows
+    past the last pivot are zero on the first `ncols` columns, and their
+    later columns hold, exactly, what the elimination left there: the
+    combination of the input rows that cancels their first `ncols` columns.
+
+    The rows are reduced as primitive integer vectors: each row's
+    denominators are cleared once, an update is a*row - b*pivot_row with
+    (a, b) = (p, f) / gcd(p, f) for the pivot p and the row's entry f, and
+    the row's content is divided out after each update, so the integers
+    stay the size of the reduced fractions.  A rational scale per row keeps
+    the rows past the last pivot exact; the pivot rows are divided by their
+    pivots only at the end.
     """
-    pivots: list[int] = []
     nrows = len(rows)
+    ints: list[list[int]] = []
+    scales: list[Fraction] = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        irow = [x.numerator * (den // x.denominator) for x in row]
+        g = math.gcd(*irow) or 1
+        ints.append([x // g for x in irow] if g > 1 else irow)
+        scales.append(Fraction(g, den))
+    pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        piv = next((i for i in range(r, nrows) if ints[i][col]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        prow = rows[r] = [x * inv if x else x for x in rows[r]]
+        ints[r], ints[piv] = ints[piv], ints[r]
+        scales[r], scales[piv] = scales[piv], scales[r]
+        prow = ints[r]
+        p = prow[col]
         for i in range(nrows):
-            f = rows[i][col]
-            if i != r and f != 0:
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], prow)]
+            f = ints[i][col]
+            if i != r and f:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(ints[i], prow)]
+                c = math.gcd(*row) or 1
+                ints[i] = [x // c for x in row] if c > 1 else row
+                if i > r:
+                    scales[i] = scales[i] * c / a
         pivots.append(col)
+    for k, col in enumerate(pivots):
+        p = ints[k][col]
+        rows[k] = [Fraction(x, p) for x in ints[k]]
+    for i in range(len(pivots), nrows):
+        rows[i] = [scales[i] * x for x in ints[i]]
     return pivots
 
 
@@ -386,8 +415,10 @@ class Matrix:
     def inverse(self, tol: Tolerance | None = None) -> "Matrix":
         """Inverse by Gauss-Jordan elimination.
 
-        Exact pathway: bit-exact, reducing [A | I]; raises SingularMatrix
-        when A is singular.
+        Exact pathway: bit-exact, reducing [A | I] with ``_rref``, whose
+        rows are primitive integer vectors until the pivot rows are divided
+        by their pivots at the end; raises SingularMatrix when A is
+        singular.
         Floating pathway: partial pivoting; raises SingularMatrix when the
         best pivot falls below the rank tolerance.
         """

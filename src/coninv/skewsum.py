@@ -39,6 +39,7 @@ from .conisum import consim_conjugate_list, gauss_to_matrix, split_unimodular
 from .matcore import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    ConvergenceFailure,
     Matrix,
     Tolerance,
     UnsupportedSize,
@@ -50,6 +51,12 @@ from .matcore import (
 PARAM_CAP = 1e3
 B_FLOOR = 1e-3
 SEPARATION = 1e-2
+
+
+class ParameterCapExceeded(ConvergenceFailure):
+    """The pair tuning found no skew block within the parameter caps: the
+    input is valid, but its two pair values are too close (or demand too
+    wide a separation) for the real skew block family."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +163,8 @@ def _separation_stream():
 
 def choose_pair_params(p: PairSpec, used: set[float]) -> tuple[SkewParams, tuple[float, float]]:
     """Parameters (a, b) whose remainder pair has two distinct real
-    eigenvalues mid +- s outside `used`; raises on forbidden pairs."""
+    eigenvalues mid +- s outside `used`; raises ValueError on forbidden
+    pairs and ParameterCapExceeded when a parameter would leave its cap."""
     if p.forbidden:
         raise ValueError("forbidden pair: equal values without coupling")
     mid = (p.lambda1 + p.lambda2) / 2.0
@@ -168,13 +176,19 @@ def choose_pair_params(p: PairSpec, used: set[float]) -> tuple[SkewParams, tuple
             a = 0.0
             b = 1.0 / (1.0 + s * s)
             if b < B_FLOOR:
-                raise ValueError("separation demand exceeded the parameter cap")
+                raise ParameterCapExceeded(
+                    f"pair ({p.lambda1:.6g}, {p.lambda2:.6g}): b = {b:.3g} for separation {s:g} "
+                    f"is below the floor {B_FLOOR:g}"
+                )
         else:
             g = p.lambda1 - p.lambda2
             a = (g * g - 4.0 - 4.0 * s * s) / (4.0 * g)
             b = 1.0
             if abs(a) > PARAM_CAP:
-                raise ValueError("pair values too close; parameter cap exceeded")
+                raise ParameterCapExceeded(
+                    f"pair values {p.lambda1:.6g}, {p.lambda2:.6g} too close: |a| = {abs(a):.3g} "
+                    f"exceeds the parameter cap {PARAM_CAP:g}"
+                )
         assert pair_discriminant(p.lambda1, p.lambda2, p.eps, a, b) > 0
         return SkewParams(a=a, b=b), nu
 

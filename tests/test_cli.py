@@ -249,3 +249,14 @@ def test_convergence_failure_is_numerical(monkeypatch, capsys):
     code, _, err = run(capsys, "decompose", "--kind", "coninv", "--json", matrix_json([[k, 1] for k in range(9)]))
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_skew_parameter_cap_is_numerical(capsys):
+    # seed-200 hidden J3(1)^2 + J2(1)^2 + J1(1)^2: the skew pair tuning hits its cap
+    from coninv.matcore import matrix_to_json
+    from test_regressions import _hidden
+
+    a = _hidden([(3, 1), (3, 1), (2, 1), (2, 1), (1, 1), (1, 1)], 200).to_floating()
+    code, _, err = run(capsys, "decompose", "--kind", "skew", "--json", json.dumps(matrix_to_json(a)))
+    assert code == 3
+    assert "numerical failure" in err and "parameter cap" in err

@@ -25,7 +25,11 @@ from coninv import (
     poly_mul,
 )
 from coninv.certify import KIND_INV_DIAG, Decomposition, decomposition_to_json
-from coninv.exactcanon import _coeffs, _components, _pdivmod, factor_prime_powers, poly_eval_matrix
+from coninv import exactcanon
+from coninv.exactcanon import _coeffs, _components, _pdivmod, _vector_order, factor_prime_powers, poly_eval_matrix
+from coninv.matcore import _integer_grid
+
+import exactref
 
 
 def rational_matrix(rng, n, num=6, den=3):
@@ -186,6 +190,66 @@ class TestMinimalPolynomial:
         assert len(factor_prime_powers(minimal_polynomial(hidden))) == 2
         assert block_multiset(form) == sorted([(F(2), F(-1)), (F(0), F(-1)), (F(0), F(-1))])
         assert form.S @ hidden == form.companion_sum() @ form.S
+
+
+@st.composite
+def vectors_under_matrices(draw):
+    """(A, v): a zero-heavy rational A with mixed denominators at n <= 6,
+    so that low-order vectors are frequent, and a nonzero integer v."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([F(0)] * 5 + [F(1), F(-1), F(2), F(1, 2), F(-3, 4), F(5, 3)])
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    v = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    return a, v
+
+
+class TestVectorOrder:
+    @given(vectors_under_matrices())
+    def test_matches_fraction_reference(self, case):
+        # order and Krylov chain agree with the Fraction spin of tests/exactref.py
+        a, v = case
+        order, chain = _vector_order(_integer_grid(a), v)
+        ref_coeffs, ref_chain = exactref.vector_order(a, v)
+        assert _coeffs(order) == ref_coeffs
+        den = _integer_grid(a)[1]
+        assert [[F(x, den**j) for x in u] for j, u in enumerate(chain)] == ref_chain
+
+    def test_wide_entries(self):
+        # a rational n = 12 input and its ~400-bit Frobenius transform S
+        a = rational_matrix(np.random.default_rng(101), 12, num=9, den=4)
+        for m in (a, frobenius_form(a).S):
+            grid = [list(r) for r in m.rows()]
+            for i in (0, 5, 11):
+                e = [int(j == i) for j in range(12)]
+                order, _ = _vector_order(_integer_grid(grid), e)
+                assert _coeffs(order) == exactref.vector_order(grid, e)[0]
+
+
+@pytest.mark.parametrize("name", ["generic-8", "hidden-j3(1)+j2(1)+j1(1)"])
+def test_frobenius_form_spins_each_standard_vector_once(name, monkeypatch):
+    # minimal_polynomial spins e_0, e_1, ... and _cyclic_blocks reuses that
+    # spin when the minimal polynomial is one prime power
+    rng = np.random.default_rng(8)
+    if name == "generic-8":
+        a = rational_matrix(rng, 8)
+    else:
+        a = direct_sum(jordan(3, F(1)), jordan(2, F(1)), jordan(1, F(1)))
+        t = unimodular(rng, a.n)
+        a = t.inverse() @ a @ t
+    assert len(_components(a)) == 1
+    spun = []
+    spin = exactcanon._vector_order
+
+    def counting(m, v):
+        spun.append((repr(getattr(m, "_d", m)), repr(v)))
+        return spin(m, v)
+
+    monkeypatch.setattr(exactcanon, "_vector_order", counting)
+    form = frobenius_form(a)
+    assert form.S @ a == form.companion_sum() @ form.S
+    assert len(set(spun)) == len(spun)
+    if name == "generic-8":
+        assert len(spun) == 1  # e_0 is a cyclic vector
 
 
 class TestFrozenThm1a:

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coninv import (
     Matrix,
@@ -25,6 +27,7 @@ from coninv.matcore import (
     numerical_rank,
 )
 
+import exactref
 from conftest import random_complex
 
 
@@ -258,6 +261,58 @@ class TestRref:
     def test_singular_exact_inverse_still_raises(self, rng):
         with pytest.raises(SingularMatrix):
             Matrix.exact(seeded_grid(rng, 4, 4, rank=3)).inverse()
+
+
+#: entries with mixed denominators, zero-heavy so that pivots are skipped
+#: and rows cancel
+MIXED = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(1, 2), F(-2, 3), F(5, 4), F(3), F(-7, 6), F(9, 8)])
+
+
+@st.composite
+def ride_along_systems(draw):
+    """(rows, ncols): 0..7 rows of ncols + 0..3 entries, wide, tall or
+    square; the first ncols columns are spanned by `rank` drawn rows, so
+    rank-deficient and zero systems are frequent."""
+    nrows, ncols, extra = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(0, 3))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    basis = [[draw(MIXED) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coef = [draw(st.integers(-2, 2)) for _ in range(rank)]
+        row = [sum((c * b[j] for c, b in zip(coef, basis)), F(0)) for j in range(ncols)]
+        rows.append(row + [draw(MIXED) for _ in range(extra)])
+    return rows, ncols
+
+
+class TestRrefMatchesFractionReference:
+    """The integer-row `_rref` returns, on every row, the rationals the
+    Fraction elimination in `tests/exactref.py` returns: the pivot rows,
+    the rows past the last pivot and their ride-along columns."""
+
+    @staticmethod
+    def check(rows, ncols):
+        ours, ref = [list(r) for r in rows], [list(r) for r in rows]
+        assert _rref(ours, ncols) == exactref.rref(ref, ncols)
+        assert ours == ref
+        assert all(type(x) is F for r in ours for x in r)
+
+    @given(ride_along_systems())
+    def test_random_systems(self, system):
+        self.check(*system)
+
+    def test_wide_frobenius_transform(self):
+        # [S | I] and a tall variant with a dependent row for the ~400-bit
+        # Frobenius transform S of a rational 12 x 12 input
+        from coninv import frobenius_form
+
+        rng = np.random.default_rng(101)
+        a = Matrix.exact([[F(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(12)] for _ in range(12)])
+        s = frobenius_form(a).S.rows()
+        assert max(x.denominator.bit_length() for r in s for x in r) > 300
+        aug = [row + [F(int(i == j)) for j in range(12)] for i, row in enumerate(s)]
+        self.check(aug, 12)
+        self.check(aug + [[x + y for x, y in zip(aug[0], aug[5])]], 12)
+        self.check([row[:6] + row[12:] for row in aug], 6)
 
 
 class TestCharPoly:

@@ -24,6 +24,7 @@ from coninv import (
 )
 from coninv.certify import KIND_CONINV_CONDIAG, Decomposition
 from coninv.exactcanon import _components
+from coninv.skewsum import ParameterCapExceeded
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,3 +118,16 @@ def test_noncyclic_hidden_n12_thm1a(blocks):
     assert a.n == 12
     assert len(_components(a)) == 1
     _assert_thm1a_literally(a, involutory_diagonalizable_split(a))
+
+
+@pytest.mark.parametrize("seed", [200, 201])
+def test_hidden_n12_skew_sum_certifies_or_fails_typed(seed):
+    # the skew pair tuning raised a plain ValueError here, which the CLI
+    # reported as an input error (exit 2) on a valid input
+    a = _hidden([(3, 1), (3, 1), (2, 1), (2, 1), (1, 1), (1, 1)], seed).to_floating()
+    try:
+        dec = skew_coninvolutory_sum(a)
+    except ParameterCapExceeded as exc:
+        assert "exceeds the parameter cap" in str(exc)
+    else:
+        assert verify_decomposition(a, dec).passed

@@ -21,7 +21,7 @@ from coninv import (
 from coninv.certify import FLAG_NONOPTIMAL
 from coninv.concanon import ConCanonicalBlock, build_block
 from coninv.matcore import UnsupportedSize
-from coninv.skewsum import skew_identity_pair, skew_traceless_pair
+from coninv.skewsum import ParameterCapExceeded, skew_identity_pair, skew_traceless_pair
 
 import gaussq
 from conftest import random_complex
@@ -117,6 +117,10 @@ class TestPairParams:
     def test_forbidden_pair_rejected(self):
         with pytest.raises(ValueError):
             choose_pair_params(PairSpec(2.0, 2.0, 0), set())
+
+    def test_close_pair_is_a_typed_numerical_failure(self):
+        with pytest.raises(ParameterCapExceeded, match=r"pair values 1, 1 too close.*cap 1000"):
+            choose_pair_params(PairSpec(1.0, 1.0 + 1e-7, 0), set())
 
 
 class TestJordanRoute:
