@@ -42,10 +42,8 @@ from .exactcanon import (
     companion,
     frobenius_form,
     involutory_diagonalizable_split,
-    involutory_plus_diagonal_split,
     involutory_split_companion,
     is_squarefree,
-    merge_companions,
     minimal_polynomial,
     poly_gcd,
     poly_mul,

@@ -529,15 +529,13 @@ def consimilar_to_real(
 ) -> tuple[Matrix, Matrix]:
     """(S, B) with B real and A S = conj(S) B within tol.
 
-    Real inputs take the fast path (identity transform).  Otherwise each
-    H-block of the canonical form is traded for the real block of the
-    conjugate pair (sqrt(mu), conj sqrt(mu)) and the per-block intertwiners
-    are composed with the canonical transform.
+    Real and complex inputs alike go through the canonical form, so B is
+    always block-diagonal: each J-block is kept, and each H-block is traded
+    for the real block of the conjugate pair (sqrt(mu), conj sqrt(mu)),
+    with the per-block intertwiners composed with the canonical transform.
     """
     if a.pathway != "floating":
         raise PathwayMismatch("consimilar_to_real requires the floating pathway")
-    if a.is_real(1e-14 * (1.0 + a.max_abs())):
-        return Matrix.identity(a.n), a.real_part()
     form = concanonical_form(a, seed=seed, tol=tol)
     targets, transforms = [], []
     for b in form.blocks:

@@ -1,30 +1,31 @@
 """Coninvolutory sum decompositions.
 
-Every complex square matrix is first traded for a consimilar real matrix;
-sums of coninvolutory matrices push through consimilarity, so the real
-cases carry the construction:
+Every complex square matrix is first traded for a consimilar real matrix
+B (``consimilar_to_real``), a direct sum of 1-by-1 blocks, real pairs
+[[a, b], [-b, a]], J(lam, m) and real-pair chains; sums of coninvolutory
+matrices push through consimilarity, so the real cases carry the
+construction:
 
 * 2-by-2: classify to diagonal / Jordan / rotation form and use the
   displayed two-summand pairs (4 summands total);
-* even size: split off one coninvolutory summand so the remainder is a
-  real diagonal matrix, then run the 2-by-2 diagonal pairs in parallel
-  across the diagonal (1 + 4 summands);
-* odd size: Frobenius form, force a leading block of degree > 1 (merging
-  two distinct scalar blocks, flipping a scalar's sign by a 1-by-1
-  consimilarity when every scalar is equal), split the leading block as
-  involutory + diag(mu_1, ...), the remaining blocks as coninvolutory +
-  diagonal, and peel the odd diagonal entry with unit-modulus scalar
-  borders (1 + 4 summands).
+* even size: split B block by block as C + W diag(values) W^{-1} with C
+  real involutory and W real (``_real_split``), then run the 2-by-2
+  diagonal pairs in parallel across diag(values) (1 + 4 summands);
+* odd size: the same split, with one 2-by-2 part (a real pair, the leading
+  J_2 of a chain, or two 1-by-1 blocks merged, one sign-flipped by a
+  1-by-1 consimilarity when that helps) given the value mu_1 in {0, 2},
+  which unit-modulus scalar borders then peel off (1 + 4 summands).
 
-The canonical-side arithmetic stays exact rational; only the accumulated
-change-of-basis is floating, and the final certificate is checked against
-the original input.
+All of it is floating arithmetic in closed form per block; the certificate
+is checked against the original input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, count
 
 import numpy as np
 
@@ -33,24 +34,14 @@ from .certify import (
     KIND_CONINV_SUM,
     Decomposition,
 )
-from .concanon import consimilar_to_real
-from .exactcanon import (
-    _distinct_values,
-    _split_block,
-    frobenius_form,
-    involutory_diagonalizable_split,
-    involutory_plus_diagonal_split,
-    merge_companions,
-    poly_mul,
-)
+from .concanon import _diagonal_blocks, consimilar_to_real
 from .matcore import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    ConvergenceFailure,
     Matrix,
-    Polynomial,
     Tolerance,
     UnsupportedSize,
-    _block_permutation,
     direct_sum,
 )
 
@@ -224,6 +215,166 @@ def coninv_sum_2x2(a: Matrix, *, log: list | None = None) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
+# the real canonical form as involutory + real-diagonalizable
+# ---------------------------------------------------------------------------
+
+#: the golden ratio: t = PHI in [[0, t], [1/t, 0]] leaves the symmetric
+#: [[lam, -1/PHI], [-1/PHI, lam]] of J_2(lam) minus it
+PHI = (1 + 5**0.5) / 2
+
+
+@dataclass
+class RealSplit:
+    """B = C + W diag(values) W^{-1} for a real B in the block form of
+    ``consimilar_to_real``.  C is real involutory (so coninvolutory) and W
+    real; both are direct sums over the blocks of B, so W_inv is formed
+    block by block.  cond_W is the largest 2-norm condition number of a
+    block of W."""
+
+    C: np.ndarray
+    W: np.ndarray
+    W_inv: np.ndarray
+    values: np.ndarray
+    cond_W: float
+
+
+def _half_widths(blk: np.ndarray, avoid: float | None):
+    """Endless distinct half-widths delta of the eigenvalue pairs x +- delta
+    of B - C on the 2-by-2 parts of one chain, skipping `avoid`.
+
+    J chains take delta = k + 1/PHI: the first two (1/PHI and PHI) leave a
+    symmetric part and none is 1, the half-width of a trailing 1-by-1 part.
+    Real-pair chains take r, r/2, 3r/2, 2r, ... with r = sqrt(1 + b^2):
+    delta = r leaves a symmetric part, and the involutory part grows with
+    |delta^2 - r^2| / |b|, so the next ones stay close to r."""
+    if blk[1, 0] == 0:
+        unit, seq = 1.0, (k + 1 / PHI for k in count())
+    else:
+        unit = float(np.hypot(1.0, blk[0, 1]))
+        seq = chain([unit], (unit * m / 2 for m in count(1) if m != 2))
+    return (d for d in seq if avoid is None or abs(d - avoid) >= unit / 4)
+
+
+def _part_involutory(blk: np.ndarray, start: int, delta: float) -> np.ndarray:
+    """[[0, t], [1/t, 0]] with eigenvalues x +- delta of the 2-by-2 part of
+    B - C at `start` (x its diagonal entry).  J_2 part: (1 - t)(-1/t) =
+    delta^2.  Real pair [[a, b], [-b, a]]: (b - t)(-b - 1/t) = delta^2, the
+    root of t^2 - g t - 1 with g = (delta^2 - 1 + b^2) / b of larger size."""
+    if blk[start + 1, start] == 0:
+        t = 1 / (1 - delta * delta)
+    else:
+        b = blk[start, start + 1]
+        g = (delta * delta - 1 + b * b) / b
+        t = (g + np.copysign(np.hypot(g, 2.0), g)) / 2
+    return np.array([[0.0, t], [1 / t, 0.0]])
+
+
+def _eigvec(d: np.ndarray, mu: float) -> np.ndarray:
+    """Unit null vector of D - mu I for a 1-by-1 or 2-by-2 D with the simple
+    eigenvalue mu: orthogonal to the larger row of D - mu I."""
+    if d.shape[0] == 1:
+        return np.ones(1)
+    (a, b), (c, e) = d.tolist()
+    rows = ((a - mu, b), (c, e - mu))
+    x, y = max(rows, key=lambda r: math.hypot(*r))
+    h = math.hypot(x, y)
+    return np.array([y / h, -x / h])
+
+
+def _inverse_and_cond(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """W^{-1} and the 2-norm cond(W); in closed form for 2-by-2 W, where
+    sigma_1 / sigma_2 + sigma_2 / sigma_1 = ||W||_F^2 / |det W|."""
+    if w.shape[0] > 2:
+        return np.linalg.inv(w), float(np.linalg.cond(w))
+    (a, b), (c, d) = w.tolist()
+    det = a * d - b * c
+    s = (a * a + b * b + c * c + d * d) / abs(det)
+    return np.array([[d, -b], [-c, a]]) / det, (s + math.sqrt(max(s * s - 4, 0.0))) / 2
+
+
+def _split_block(blk: np.ndarray, lead=None) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """C, W and the values for one block of the real canonical form: a
+    1-by-1 [lam], a real pair [[a, b], [-b, a]], J(lam, m) or a real-pair
+    chain.  C is a direct sum of 2-by-2 involutory parts [[0, t], [1/t, 0]]
+    plus C = 1 on a trailing 1-by-1 part; B - C is block upper-triangular
+    with pairwise distinct eigenvalues, so W follows by back-substitution.
+    `lead = (c_x, (mu1, nu))` fixes the leading 2-by-2 part instead."""
+    m = blk.shape[0]
+    parts = [(k, min(k + 2, m)) for k in range(0, m, 2)]
+    c = np.zeros((m, m))
+    values: list[float] = []
+    avoid = None
+    if lead is not None:
+        c_x, vals_x = lead
+        c[:2, :2] = c_x
+        values += vals_x
+        avoid = abs(vals_x[0] - vals_x[1]) / 2
+        nu = vals_x[1]
+    widths = _half_widths(blk, avoid)
+    for start, stop in parts[1 if lead is not None else 0 :]:
+        x = blk[start, start]
+        if stop - start == 1:
+            # the trailing part of an odd J chain: x - 1, or x + 1 when a
+            # lead put its free value nu at x - 1
+            sign = 1.0 if lead is None or nu >= x else -1.0
+            c[start, start] = sign
+            values.append(x - sign)
+            continue
+        delta = next(widths)
+        c[start:stop, start:stop] = _part_involutory(blk, start, delta)
+        values += [x - delta, x + delta]
+    d = blk - c
+    w = np.zeros((m, m))
+    for k, (start, stop) in enumerate(parts):
+        for col in range(start, stop):
+            mu = values[col]
+            x = w[:, col]
+            x[start:stop] = _eigvec(d[start:stop, start:stop], mu)
+            for s0, s1 in reversed(parts[:k]):
+                rhs = -d[s0:s1, s1:] @ x[s1:]
+                if s0 == 0 and lead is not None and blk[1, 0] == 0:
+                    # a J_2 lead: rhs lies along e_2, its nu-eigenvector
+                    # (_fix_mu1), even where mu equals mu1
+                    x[:2] = [0.0, rhs[1] / (nu - mu)]
+                else:
+                    x[s0:s1] = np.linalg.solve(d[s0:s1, s0:s1] - mu * np.eye(2), rhs)
+            if k:
+                x /= np.linalg.norm(x)
+    return c, w, values
+
+
+def _blocks(b: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
+    """(indices, block) for each diagonal block of B."""
+    return [(list(range(start, stop)), b[start:stop, start:stop]) for start, stop in _diagonal_blocks(b)]
+
+
+def _real_split(b: np.ndarray, units=None, lead=None) -> RealSplit:
+    """Split a real B in the block form of ``consimilar_to_real`` block by
+    block.  `units` defaults to the diagonal blocks of B; `lead = (k,
+    c_x, values_x)` fixes the leading 2-by-2 part of unit k."""
+    n = b.shape[0]
+    c, w, w_inv = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    values = np.zeros(n)
+    cond = 1.0
+    for k, (idx, blk) in enumerate(_blocks(b) if units is None else units):
+        if len(idx) == 1:
+            i = idx[0]
+            c[i, i] = w[i, i] = w_inv[i, i] = 1.0
+            values[i] = blk[0, 0] - 1.0
+            continue
+        c_j, w_j, values_j = _split_block(blk, lead[1:] if lead is not None and lead[0] == k else None)
+        w_inv_j, cond_j = _inverse_and_cond(w_j)
+        if idx[-1] - idx[0] == len(idx) - 1:
+            ix = np.s_[idx[0] : idx[-1] + 1, idx[0] : idx[-1] + 1]
+        else:  # a merged pair of 1-by-1 blocks
+            ix = np.ix_(idx, idx)
+        c[ix], w[ix], w_inv[ix] = c_j, w_j, w_inv_j
+        values[idx] = values_j
+        cond = max(cond, cond_j)
+    return RealSplit(C=c, W=w, W_inv=w_inv, values=values, cond_W=cond)
+
+
+# ---------------------------------------------------------------------------
 # coninvolutory + (real-con)diagonalizable splits
 # ---------------------------------------------------------------------------
 
@@ -239,14 +390,6 @@ class CondiagSplit:
     values: tuple
 
 
-def _exact_coninv_plus_diag(b: Matrix, reserved=()) -> tuple[Matrix, Matrix, tuple]:
-    """W, C, values with W^{-1} B W = C + diag(values), all exact; W real."""
-    split = involutory_diagonalizable_split(b, reserved=reserved)
-    w_inv = split.W.inverse()
-    c = w_inv @ split.V @ split.W
-    return split.W, c, split.spectrum
-
-
 def coninvolutory_condiagonalizable_split(
     a: Matrix,
     *,
@@ -255,20 +398,26 @@ def coninvolutory_condiagonalizable_split(
 ) -> CondiagSplit:
     """A = C + D with C coninvolutory and D real-condiagonalizable.
 
-    Route: consimilar-to-real, exact involutory+diagonalizable split of the
-    rationalized real matrix, conjugate back.  D is returned as A - C so the
-    reconstruction is exact; the witness carries its own small residual.
+    Route: A S = conj(S) B with B real (``consimilar_to_real``), then the
+    block-by-block split B = C_B + W diag(values) W^{-1} with C_B real
+    involutory and W real, so C = conj(S) C_B S^{-1} and the witness is
+    Q = W^{-1} S^{-1}.  D is returned as A - C, so the reconstruction is
+    exact; the witness is checked before returning: ConvergenceFailure
+    when ||D - conj(Q)^{-1} diag(values) Q||_F exceeds tol.bound(||D||_F).
     """
-    s, b = consimilar_to_real(a.to_floating(), seed=seed, tol=tol)
-    split = involutory_diagonalizable_split(b.rationalize())
-    s_arr = s.to_array()
-    s_bar = Matrix.floating(np.conj(s_arr))
-    s_inv = s.inverse()
-    c = s_bar @ split.V.to_floating() @ s_inv
-    d = a.to_floating() - c
-    # D = conj(Q)^{-1} diag Q with Q = W^{-1} S^{-1}
-    q = split.W.to_floating().inverse() @ s_inv
-    return CondiagSplit(C=c, D=d, witness=q, values=tuple(float(x) for x in split.spectrum))
+    a = a.to_floating()
+    s, b = consimilar_to_real(a, seed=seed, tol=tol)
+    sp = _real_split(b.to_array().real)
+    s_inv = s.inverse().to_array()
+    c = np.conj(s.to_array()) @ sp.C @ s_inv
+    d = a.to_array() - c
+    q = sp.W_inv @ s_inv
+    residual = float(np.linalg.norm(d - np.linalg.solve(np.conj(q), sp.values[:, None] * q), "fro"))
+    if residual > tol.bound(float(np.linalg.norm(d, "fro"))):
+        raise ConvergenceFailure(f"thm1b witness misses D by {residual:.3g}")
+    return CondiagSplit(
+        C=Matrix.floating(c), D=Matrix.floating(d), witness=Matrix.floating(q), values=tuple(sp.values.tolist())
+    )
 
 
 def coninvolutory_plus_real_diagonal(
@@ -279,10 +428,9 @@ def coninvolutory_plus_real_diagonal(
 ) -> tuple[Matrix, Matrix, Matrix]:
     """(S, C, D): conj(S)^{-1} A S = C + D, C coninvolutory, D real diagonal."""
     s0, b = consimilar_to_real(a.to_floating(), seed=seed, tol=tol)
-    w, c, values = _exact_coninv_plus_diag(b.rationalize())
-    s = s0 @ w.to_floating()
-    d = Matrix.diag([float(v) for v in values])
-    return s, c.to_floating(), d
+    sp = _real_split(b.to_array().real)
+    s = s0 @ Matrix.floating(sp.W)
+    return s, Matrix.floating(sp.W_inv @ sp.C @ sp.W), Matrix.diag(sp.values.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -290,94 +438,94 @@ def coninvolutory_plus_real_diagonal(
 # ---------------------------------------------------------------------------
 
 
-def _odd_real_summands(
-    b: Matrix,
-    *,
-    log: list,
-) -> tuple[list[Matrix], Matrix]:
-    """Five coninvolutory summands for an odd-size real matrix (exact on the
-    canonical side) plus the floating transform W with B = conj(W) M W^{-1}
-    relating the summand frame M back to B."""
-    b_rat = b.rationalize()
-    form = frobenius_form(b_rat)
-    blocks = list(form.blocks)
-    # B_rat = S_f^{-1} (sum F_i) S_f
-    u = form.S_inv.to_floating()
+def _fix_mu1(x: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """C_X = [[p, q], [r, -p]] involutory with mu1 in {0, 2} an eigenvalue
+    of X - C_X, for a 2-by-2 X that is J_2(lam), a real pair or diagonal
+    with distinct entries.  mu1 is the one farther from tr X / 2, so the
+    other eigenvalue nu = tr X - mu1 differs from it by at least 2.
 
-    sizes = [f.m for f in blocks]
-    order = list(range(len(blocks)))
-    lead = next((i for i in order if blocks[i].m > 1), None)
-    if lead is None:
-        # all scalar blocks; merge two distinct scalars (flip a sign if needed)
-        vals = [Fraction(f.a[0]) for f in blocks]
-        nz = next(i for i, v in enumerate(vals) if v != 0)
-        order = [nz] + [i for i in order if i != nz]
-        partner = next((i for i in order[1:] if vals[i] != vals[nz]), None)
-        flip = partner is None
-        if flip:
-            partner = order[1]
-        order = [order[0], partner] + [i for i in order[1:] if i != partner]
-        u = u @ _block_permutation(sizes, order)
-        blocks = [blocks[i] for i in order]
-        vals = [Fraction(f.a[0]) for f in blocks]
-        if flip:
-            # [a] and [-a] are consimilar via the 1-by-1 transform [i]
-            phi = np.eye(b.n, dtype=complex)
-            phi[1, 1] = 1j
-            u = u @ Matrix.floating(phi)
-            vals[1] = -vals[1]
-            log.append({"step": "scalar-sign-flip", "position": 1})
-        fa, fb = Polynomial((vals[0],)), Polynomial((vals[1],))
-        t, merged = merge_companions(fa, fb)
-        n_rest = b.n - 2
-        t_embed = direct_sum(t, Matrix.identity(n_rest, "exact")) if n_rest else t
-        u = u @ t_embed.inverse().to_floating()
-        blocks = [poly_mul(fa, fb)] + blocks[2:]
-        log.append({"step": "merge-scalars", "values": [str(vals[0]), str(vals[1])]})
-    elif lead != 0:
-        order = [lead] + [i for i in order if i != lead]
-        u = u @ _block_permutation(sizes, order)
-        blocks = [blocks[i] for i in order]
-        log.append({"step": "lead-block-swap", "index": lead})
+    det(X - C_X - mu1 I) = 0 reads p (x11 - x22) + x12 r + x21 q =
+    mu1 nu - det X + 1 (call it kappa) next to p^2 + q r = 1.  J_2(lam):
+    q = 1, p = lam - mu1, r = 1 - p^2; X - C_X is then lower triangular,
+    with e_2 its nu-eigenvector, so a chain coupled into the second row
+    never makes it defective.  Real pair: p = 0, q r = 1 and b (r - q) =
+    kappa.  Diagonal: p = kappa / (x11 - x22) and the smaller symmetric q,
+    r.  Returns C_X and (mu1, nu)."""
+    tr = x[0, 0] + x[1, 1]
+    mu1 = 0.0 if tr > 2 else 2.0
+    nu = tr - mu1
+    kappa = mu1 * nu - (x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]) + 1
+    if x[1, 0] != 0:
+        b = x[0, 1]
+        q = -(kappa + np.copysign(np.hypot(kappa, 2 * b), kappa)) / (2 * b)
+        c_x = [[0.0, q], [1 / q, 0.0]]
+    elif x[0, 1] != 0:
+        p = x[0, 0] - mu1
+        c_x = [[p, 1.0], [1 - p * p, -p]]
+    else:
+        p = kappa / (x[0, 0] - x[1, 1])
+        q = np.sqrt(abs(1 - p * p))
+        c_x = [[p, q], [q if p * p <= 1 else -q, -p]]
+    return np.array(c_x), [mu1, nu]
 
-    f1 = blocks[0]
-    m1 = f1.m
-    a11 = Fraction(f1.a[0])
-    pure_even_binomial = m1 == 2 and a11 == 0
-    mu1 = Fraction(2) if pure_even_binomial else Fraction(0)
-    total = a11 + 2 - m1
-    mus = [mu1, *_distinct_values(m1 - 1, total - mu1, {mu1})]
-    sp = involutory_plus_diagonal_split(f1, mus)
-    w_blocks = [sp.R]
-    conin_blocks = [sp.G]
-    diag_values: list[Fraction] = list(mus)
-    used: set[Fraction] = set(mus)
-    for f in blocks[1:]:
-        # the remaining blocks as coninvolutory + diagonal, R^{-1} G R + diag
-        g, _, r, vals_i = _split_block(f, used)
-        used.update(vals_i)
-        w_blocks.append(r)
-        conin_blocks.append(g if f.m == 1 else r.inverse() @ g @ r)
-        diag_values.extend(vals_i)
-    w_all = direct_sum(*w_blocks)
-    u = u @ w_all.to_floating()
-    c_hat = direct_sum(*conin_blocks)
 
-    rest = diag_values[1:]
-    borders = [Fraction(1), mu1 - 1, Fraction(1), Fraction(-1)]
-    diag_summands = diagonal_case_summands(rest)
+def _odd_lead(units) -> tuple[list, int, bool, bool, np.ndarray, list[float]]:
+    """The 2-by-2 part X that carries mu1: the leading 2-by-2 part of a
+    block, or two 1-by-1 blocks [x], [y] merged into diag(x, y) or, by the
+    1-by-1 consimilarity [i], diag(x, -y).  Each candidate's C_X comes from
+    ``_fix_mu1``; the one of least Frobenius norm wins.  Returns the units
+    (a merged pair replaces its two scalars), the lead unit, whether two
+    scalars were merged, whether the second was flipped, C_X and (mu1, nu)."""
+    cands = [(k, None, False, blk[:2, :2]) for k, (idx, blk) in enumerate(units) if len(idx) > 1]
+    scalars = [k for k, (idx, _) in enumerate(units) if len(idx) == 1]
+    for i, j in combinations(scalars, 2):
+        x, y = units[i][1][0, 0], units[j][1][0, 0]
+        cands += [(i, j, flip, np.diag([x, -y if flip else y])) for flip in (False, True) if x != (-y if flip else y)]
+    if not cands:
+        raise ConvergenceFailure("no 2-by-2 part can carry the odd border value")
+    fixed = [(cand, _fix_mu1(cand[3])) for cand in cands]
+    (k, j, flip, x), (c_x, vals) = min(fixed, key=lambda f: np.linalg.norm(f[1][0]))
+    if j is None:
+        return units, k, False, False, c_x, vals
+    merged = (units[k][0] + units[j][0], x)
+    rest = [u for m, u in enumerate(units) if m not in (k, j)]
+    return [merged] + rest, 0, True, flip, c_x, vals
+
+
+def _odd_real_summands(b: Matrix, *, log: list) -> tuple[list[Matrix], np.ndarray, dict]:
+    """Five coninvolutory summands for an odd-size real B in the block form
+    of ``consimilar_to_real``, the transform U with B = conj(U) M U^{-1}
+    relating the summand frame M back to B, and the route's log entry.
+
+    One 2-by-2 part X (``_odd_lead``) takes an involutory C_X that gives
+    B - C the eigenvalue mu1 in {0, 2}; the other blocks split as in
+    ``_real_split``.  With mu1's eigenvector first, diag(values) is
+    [mu1] + diag(rest), written as four summands bordered by the unit
+    scalars [1, mu1 - 1, 1, -1] around ``diagonal_case_summands(rest)``,
+    and C conjugated by W is the fifth.
+    """
+    bb = b.to_array().real
+    units, k, merged, flip, c_x, vals = _odd_lead(_blocks(bb))
+    idx, x = units[k]
+    phi = np.ones(bb.shape[0], dtype=complex)
+    if flip:
+        # [y] and [-y] are consimilar via the 1-by-1 transform [i]
+        phi[idx[1]] = 1j
+        log.append({"step": "scalar-sign-flip", "position": idx[1]})
+    if merged:
+        log.append({"step": "merge-scalars", "values": [str(x[0, 0]), str(x[1, 1])]})
+    sp = _real_split(bb, units, (k, c_x, vals))
+    first = idx[0]
+    order = [first] + [i for i in range(bb.shape[0]) if i != first]
+    w, w_inv, values = sp.W[:, order], sp.W_inv[order], sp.values[order]
+    mu1 = vals[0]
+    borders = [1, int(mu1) - 1, 1, -1]
     bordered = [
-        direct_sum(Matrix.floating([[complex(float(s), 0.0)]]), k)
-        for s, k in zip(borders, diag_summands)
+        direct_sum(Matrix.floating([[complex(s)]]), k_rest)
+        for s, k_rest in zip(borders, diagonal_case_summands(values[1:].tolist()))
     ]
-    log.append(
-        {
-            "step": "odd-borders",
-            "mu1": str(mu1),
-            "borders": [str(x) for x in borders],
-        }
-    )
-    return [c_hat.to_floating()] + bordered, u
+    entry = {"step": "odd-borders", "mu1": str(int(mu1)), "borders": [str(v) for v in borders], "cond_W": sp.cond_W}
+    return [Matrix.floating(w_inv @ sp.C @ w)] + bordered, phi[:, None] * w, entry
 
 
 def coninvolutory_sum(
@@ -408,16 +556,15 @@ def coninvolutory_sum(
         return _finish(a, summands, inner.log, [], pad_to)
 
     if a.n % 2 == 0:
-        b_rat = b.rationalize()
-        w, c_exact, values = _exact_coninv_plus_diag(b_rat)
-        u = w.to_floating()
-        inner = [c_exact.to_floating()] + diagonal_case_summands(list(values))
-        log.append({"step": "even-split", "diagonal": [str(v) for v in values]})
-        summands = consim_conjugate_list(s0 @ u, inner)
-        return _finish(a, summands, log, [], pad_to)
-
-    inner, u = _odd_real_summands(b, log=log)
-    summands = consim_conjugate_list(s0 @ u, inner)
+        sp = _real_split(b.to_array().real)
+        inner = [Matrix.floating(sp.W_inv @ sp.C @ sp.W)] + diagonal_case_summands(sp.values.tolist())
+        u = sp.W
+        entry = {"step": "even-split", "diagonal": sp.values.tolist(), "cond_W": sp.cond_W}
+    else:
+        inner, u, entry = _odd_real_summands(b, log=log)
+    summands = consim_conjugate_list(s0 @ Matrix.floating(u), inner)
+    entry["amplification"] = max(k.frobenius_norm() for k in summands) / a.frobenius_norm()
+    log.append(entry)
     return _finish(a, summands, log, [], pad_to)
 
 

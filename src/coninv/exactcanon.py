@@ -1,8 +1,8 @@
 """Exact canonical-form machinery over the rationals.
 
 Companion matrices, the prime-power Frobenius form with an explicit
-similarity transform, merging of coprime companion blocks, and the
-involutory-plus-diagonalizable splits of companion matrices.  Everything
+similarity transform, and the involutory-plus-diagonalizable split of
+companion matrices behind thm1a.  Everything
 here runs on the exact pathway: results are bit-exact rationals and the
 defining residuals are asserted to be literally zero.
 """
@@ -494,36 +494,6 @@ def _restrict(a: Matrix, basis: list[list[Fraction]]) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# merging coprime companion blocks
-# ---------------------------------------------------------------------------
-
-
-def merge_companions(f: Polynomial, g: Polynomial) -> tuple[Matrix, Matrix]:
-    """T, F with T (companion(f) + companion(g)) T^{-1} = F = companion(f*g).
-
-    Requires gcd(f, g) = 1; the concatenated first basis vectors are then a
-    cyclic vector of the direct sum and the Krylov basis realizes F.
-    """
-    if poly_gcd(f, g) is not None:
-        raise ValueError("polynomials are not relatively prime")
-    m = direct_sum(companion(f), companion(g))
-    n = m.n
-    v = [Fraction(0)] * n
-    v[0] = Fraction(1)
-    v[f.m] = Fraction(1)
-    grid = _integer_grid(m._d)
-    cols = [v]
-    for _ in range(n - 1):
-        cols.append(_apply(grid, cols[-1]))
-    k = Matrix.exact([[col[i] for col in cols] for i in range(n)])
-    t = k.inverse()
-    fr = companion(poly_mul(f, g))
-    if (t @ m) != (fr @ t):
-        raise ArithmeticError("merge residual is nonzero")  # pragma: no cover
-    return t, fr
-
-
-# ---------------------------------------------------------------------------
 # involutory + diagonalizable splits
 # ---------------------------------------------------------------------------
 
@@ -531,8 +501,7 @@ def merge_companions(f: Polynomial, g: Polynomial) -> tuple[Matrix, Matrix]:
 @dataclass
 class InvolutorySplit:
     """G is involutory (G^2 = I exactly); D = input - G; R diagonalizes
-    D + I for the chosen spectrum (companion split) or realizes the
-    similarity onto G + diag (diagonal split)."""
+    D + I for the chosen spectrum."""
 
     G: Matrix
     D: Matrix
@@ -587,23 +556,6 @@ def involutory_split_companion(f: Polynomial, lambdas) -> InvolutorySplit:
     if (dpi @ r) != (r @ Matrix.diag(lams, "exact")):
         raise ArithmeticError("eigenvector residual is nonzero")  # pragma: no cover
     return InvolutorySplit(G=gmat, D=d, lambdas=lams, R=r)
-
-
-def involutory_plus_diagonal_split(f: Polynomial, mus) -> InvolutorySplit:
-    """R^{-1} companion(f) R = G + diag(mu_i) with G involutory; the mus are
-    pairwise distinct and sum to a1 + 2 - m."""
-    mu = tuple(Fraction(x) for x in mus)
-    a1 = Fraction(f.a[0])
-    if sum(mu) != a1 + 2 - f.m:
-        raise ValueError(f"mu values must sum to a1 + 2 - m = {a1 + 2 - f.m}")
-    inner = involutory_split_companion(f, [x + 1 for x in mu])
-    r = inner.R
-    r_inv = r.inverse()
-    g = r_inv @ inner.G @ r
-    d = Matrix.diag(mu, "exact")
-    if (g + d) != (r_inv @ companion(f) @ r):
-        raise ArithmeticError("diagonal-split residual is nonzero")  # pragma: no cover
-    return InvolutorySplit(G=g, D=d, lambdas=mu, R=r)
 
 
 @dataclass

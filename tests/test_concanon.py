@@ -196,11 +196,19 @@ class TestConCanonicalForm:
 
 
 class TestConsimilarToReal:
-    def test_real_fast_path(self):
-        a = Matrix.floating([[1, 2], [3, 4]])
+    def test_real_input_block_diagonal(self):
+        # real inputs take the canonical form too: B comes out block-diagonal
+        a = Matrix.floating([[1, 2, 0], [-3, 1, 1], [0, -1, 2]])  # eigenvalues 1.06 +- 2.62i, 1.87
         s, b = consimilar_to_real(a)
-        assert s == Matrix.identity(2)
-        assert b == a
+        assert b.is_real(0.0)
+        assert (a @ s - s.conj() @ b).frobenius_norm() <= 1e-9 * (1 + a.frobenius_norm())
+        arr = b.to_array().real
+        blocks = _diagonal_blocks(arr)
+        assert sorted(stop - start for start, stop in blocks) == [1, 2]
+        for start, stop in blocks:
+            if stop - start == 2:  # a real pair [[x, y], [-y, x]]
+                x = arr[start:stop, start:stop]
+                assert x[0, 0] == x[1, 1] and x[0, 1] == -x[1, 0] != 0
 
     def test_scalar_i(self):
         s, b = consimilar_to_real(Matrix.floating([[1j]]))

@@ -14,14 +14,11 @@ from coninv import (
     direct_sum,
     frobenius_form,
     involutory_diagonalizable_split,
-    involutory_plus_diagonal_split,
     involutory_split_companion,
     is_squarefree,
     matrix_from_json,
     matrix_to_json,
-    merge_companions,
     minimal_polynomial,
-    poly_gcd,
     poly_mul,
 )
 from coninv.certify import KIND_INV_DIAG, Decomposition, decomposition_to_json
@@ -304,29 +301,6 @@ class TestHiddenJordanProperty:
         assert sp.W.inverse() @ sp.D @ sp.W == Matrix.diag(sp.spectrum, "exact")
 
 
-class TestMerge:
-    def test_two_scalars(self):
-        t, f = merge_companions(Polynomial((F(2),)), Polynomial((F(3),)))
-        assert f == Matrix.exact([[0, -6], [1, 5]])
-        lhs = t @ direct_sum(companion(Polynomial((F(2),))), companion(Polynomial((F(3),))))
-        assert lhs == f @ t
-
-    def test_shared_root_rejected(self):
-        with pytest.raises(ValueError):
-            merge_companions(Polynomial((F(2),)), Polynomial((F(2),)))
-
-    def test_x_and_x_minus_one(self):
-        t, f = merge_companions(Polynomial((F(0),)), Polynomial((F(1),)))
-        assert f == Matrix.exact([[0, 0], [1, 1]])
-
-    def test_char_poly_is_product(self, rng):
-        f = Polynomial((F(1), F(1)))  # x^2 - x - 1
-        g = Polynomial((F(0), F(-3)))  # x^2 + 3
-        assert poly_gcd(f, g) is None
-        _, merged = merge_companions(f, g)
-        assert merged.char_poly() == poly_mul(f, g)
-
-
 class TestInvolutorySplit:
     def test_frozen_quadratic(self):
         sp = involutory_split_companion(Polynomial((F(0), F(0))), [3, -1])
@@ -362,25 +336,6 @@ class TestInvolutorySplit:
             assert sp.G @ sp.G == ident
             assert sp.G + sp.D == companion(f)
             assert sp.R.inverse() @ sp.D @ sp.R == Matrix.diag([x - 1 for x in lams], "exact")
-
-
-class TestDiagonalSplit:
-    def test_quadratic_mu_choice(self):
-        sp = involutory_plus_diagonal_split(Polynomial((F(0), F(0))), [2, -2])
-        ident = Matrix.identity(2, "exact")
-        assert sp.G @ sp.G == ident
-        assert sp.G + sp.D == sp.R.inverse() @ companion(Polynomial((F(0), F(0)))) @ sp.R
-
-    def test_cubic(self):
-        f = Polynomial((F(3), F(0), F(0)))  # x^3 - 3x^2
-        sp = involutory_plus_diagonal_split(f, [0, 3, -1])
-        assert sp.G @ sp.G == Matrix.identity(3, "exact")
-        assert sp.G + sp.D == sp.R.inverse() @ companion(f) @ sp.R
-        assert sp.D == Matrix.diag([0, 3, -1], "exact")
-
-    def test_wrong_sum_rejected(self):
-        with pytest.raises(ValueError):
-            involutory_plus_diagonal_split(Polynomial((F(0), F(0))), [1, -2])
 
 
 class TestExactSplit:
