@@ -293,12 +293,13 @@ def _inverse_and_cond(w: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _split_block(blk: np.ndarray, lead=None) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """C, W and the values for one block of the real canonical form: a
-    1-by-1 [lam], a real pair [[a, b], [-b, a]], J(lam, m) or a real-pair
-    chain.  C is a direct sum of 2-by-2 involutory parts [[0, t], [1/t, 0]]
-    plus C = 1 on a trailing 1-by-1 part; B - C is block upper-triangular
-    with pairwise distinct eigenvalues, so W follows by back-substitution.
-    `lead = (c_x, (mu1, nu))` fixes the leading 2-by-2 part instead."""
+    """C, W and the values for one block of size >= 2 of the real canonical
+    form: a real pair [[a, b], [-b, a]], J(lam, m) or a real-pair chain.
+    C is a direct sum of 2-by-2 involutory parts [[0, t], [1/t, 0]] plus
+    C = +-1 on the trailing 1-by-1 part of an odd J(lam, m); B - C is
+    block upper-triangular with pairwise distinct eigenvalues, so W
+    follows by back-substitution.  `lead = (c_x, (mu1, nu))` fixes the
+    leading 2-by-2 part instead."""
     m = blk.shape[0]
     parts = [(k, min(k + 2, m)) for k in range(0, m, 2)]
     c = np.zeros((m, m))
