@@ -13,19 +13,18 @@ construction:
   diagonal pairs in parallel across diag(values) (1 + 4 summands);
 * odd size: the same split, with one 2-by-2 part (a real pair, the leading
   J_2 of a chain, or two 1-by-1 blocks merged, one sign-flipped by a
-  1-by-1 consimilarity when that helps) given the value mu_1 in {0, 2},
-  which unit-modulus scalar borders then peel off (1 + 4 summands).
+  1-by-1 consimilarity when every scalar is equal) given the value mu_1 in
+  {0, 2}, which unit-modulus scalar borders then peel off (1 + 4 summands).
 
-All of it is floating arithmetic in closed form per block; the certificate
-is checked against the original input.
+All of it is floating arithmetic in closed form per block.  The certificate
+is checked against the original input before the summands are returned.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, count
+from itertools import chain, count
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .certify import (
     KIND_CONINV_CONDIAG,
     KIND_CONINV_SUM,
     Decomposition,
+    verify_decomposition,
 )
 from .concanon import _diagonal_blocks, consimilar_to_real
 from .matcore import (
@@ -269,29 +269,6 @@ def _part_involutory(blk: np.ndarray, start: int, delta: float) -> np.ndarray:
     return np.array([[0.0, t], [1 / t, 0.0]])
 
 
-def _eigvec(d: np.ndarray, mu: float) -> np.ndarray:
-    """Unit null vector of D - mu I for a 1-by-1 or 2-by-2 D with the simple
-    eigenvalue mu: orthogonal to the larger row of D - mu I."""
-    if d.shape[0] == 1:
-        return np.ones(1)
-    (a, b), (c, e) = d.tolist()
-    rows = ((a - mu, b), (c, e - mu))
-    x, y = max(rows, key=lambda r: math.hypot(*r))
-    h = math.hypot(x, y)
-    return np.array([y / h, -x / h])
-
-
-def _inverse_and_cond(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """W^{-1} and the 2-norm cond(W); in closed form for 2-by-2 W, where
-    sigma_1 / sigma_2 + sigma_2 / sigma_1 = ||W||_F^2 / |det W|."""
-    if w.shape[0] > 2:
-        return np.linalg.inv(w), float(np.linalg.cond(w))
-    (a, b), (c, d) = w.tolist()
-    det = a * d - b * c
-    s = (a * a + b * b + c * c + d * d) / abs(det)
-    return np.array([[d, -b], [-c, a]]) / det, (s + math.sqrt(max(s * s - 4, 0.0))) / 2
-
-
 def _split_block(blk: np.ndarray, lead=None) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """C, W and the values for one block of size >= 2 of the real canonical
     form: a real pair [[a, b], [-b, a]], J(lam, m) or a real-pair chain.
@@ -330,7 +307,8 @@ def _split_block(blk: np.ndarray, lead=None) -> tuple[np.ndarray, np.ndarray, li
         for col in range(start, stop):
             mu = values[col]
             x = w[:, col]
-            x[start:stop] = _eigvec(d[start:stop, start:stop], mu)
+            # unit null vector of the part minus mu: its last right singular vector
+            x[start:stop] = np.linalg.svd(d[start:stop, start:stop] - mu * np.eye(stop - start))[2][-1]
             for s0, s1 in reversed(parts[:k]):
                 rhs = -d[s0:s1, s1:] @ x[s1:]
                 if s0 == 0 and lead is not None and blk[1, 0] == 0:
@@ -344,34 +322,28 @@ def _split_block(blk: np.ndarray, lead=None) -> tuple[np.ndarray, np.ndarray, li
     return c, w, values
 
 
-def _blocks(b: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
-    """(indices, block) for each diagonal block of B."""
-    return [(list(range(start, stop)), b[start:stop, start:stop]) for start, stop in _diagonal_blocks(b)]
-
-
 def _real_split(b: np.ndarray, units=None, lead=None) -> RealSplit:
     """Split a real B in the block form of ``consimilar_to_real`` block by
-    block.  `units` defaults to the diagonal blocks of B; `lead = (k,
-    c_x, values_x)` fixes the leading 2-by-2 part of unit k."""
+    block.  `units` lists the indices of each block and defaults to the
+    diagonal blocks of B; `lead = (k, c_x, values_x)` fixes the leading
+    2-by-2 part of unit k."""
     n = b.shape[0]
     c, w, w_inv = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
     values = np.zeros(n)
     cond = 1.0
-    for k, (idx, blk) in enumerate(_blocks(b) if units is None else units):
+    if units is None:
+        units = [list(range(start, stop)) for start, stop in _diagonal_blocks(b)]
+    for k, idx in enumerate(units):
         if len(idx) == 1:
             i = idx[0]
             c[i, i] = w[i, i] = w_inv[i, i] = 1.0
-            values[i] = blk[0, 0] - 1.0
+            values[i] = b[i, i] - 1.0
             continue
-        c_j, w_j, values_j = _split_block(blk, lead[1:] if lead is not None and lead[0] == k else None)
-        w_inv_j, cond_j = _inverse_and_cond(w_j)
-        if idx[-1] - idx[0] == len(idx) - 1:
-            ix = np.s_[idx[0] : idx[-1] + 1, idx[0] : idx[-1] + 1]
-        else:  # a merged pair of 1-by-1 blocks
-            ix = np.ix_(idx, idx)
-        c[ix], w[ix], w_inv[ix] = c_j, w_j, w_inv_j
+        ix = np.ix_(idx, idx)
+        c_j, w_j, values_j = _split_block(b[ix], lead[1:] if lead is not None and lead[0] == k else None)
+        c[ix], w[ix], w_inv[ix] = c_j, w_j, np.linalg.inv(w_j)
         values[idx] = values_j
-        cond = max(cond, cond_j)
+        cond = max(cond, float(np.linalg.cond(w_j)))
     return RealSplit(C=c, W=w, W_inv=w_inv, values=values, cond_W=cond)
 
 
@@ -470,51 +442,42 @@ def _fix_mu1(x: np.ndarray) -> tuple[np.ndarray, list[float]]:
     return np.array(c_x), [mu1, nu]
 
 
-def _odd_lead(units) -> tuple[list, int, bool, bool, np.ndarray, list[float]]:
-    """The 2-by-2 part X that carries mu1: the leading 2-by-2 part of a
-    block, or two 1-by-1 blocks [x], [y] merged into diag(x, y) or, by the
-    1-by-1 consimilarity [i], diag(x, -y).  Each candidate's C_X comes from
-    ``_fix_mu1``; the one of least Frobenius norm wins.  Returns the units
-    (a merged pair replaces its two scalars), the lead unit, whether two
-    scalars were merged, whether the second was flipped, C_X and (mu1, nu)."""
-    cands = [(k, None, False, blk[:2, :2]) for k, (idx, blk) in enumerate(units) if len(idx) > 1]
-    scalars = [k for k, (idx, _) in enumerate(units) if len(idx) == 1]
-    for i, j in combinations(scalars, 2):
-        x, y = units[i][1][0, 0], units[j][1][0, 0]
-        cands += [(i, j, flip, np.diag([x, -y if flip else y])) for flip in (False, True) if x != (-y if flip else y)]
-    if not cands:
-        raise ConvergenceFailure("no 2-by-2 part can carry the odd border value")
-    fixed = [(cand, _fix_mu1(cand[3])) for cand in cands]
-    (k, j, flip, x), (c_x, vals) = min(fixed, key=lambda f: np.linalg.norm(f[1][0]))
-    if j is None:
-        return units, k, False, False, c_x, vals
-    merged = (units[k][0] + units[j][0], x)
-    rest = [u for m, u in enumerate(units) if m not in (k, j)]
-    return [merged] + rest, 0, True, flip, c_x, vals
-
-
 def _odd_real_summands(b: Matrix, *, log: list) -> tuple[list[Matrix], np.ndarray, dict]:
     """Five coninvolutory summands for an odd-size real B in the block form
     of ``consimilar_to_real``, the transform U with B = conj(U) M U^{-1}
     relating the summand frame M back to B, and the route's log entry.
 
-    One 2-by-2 part X (``_odd_lead``) takes an involutory C_X that gives
-    B - C the eigenvalue mu1 in {0, 2}; the other blocks split as in
+    One 2-by-2 part X carries the value mu1 in {0, 2}: the leading 2-by-2
+    part of the first block of size >= 2 or, when every block is 1-by-1, the
+    two most distant scalars merged into diag(x, y), with y sign-flipped by
+    the 1-by-1 consimilarity [i] when every scalar is equal.  X takes the
+    involutory C_X of ``_fix_mu1``, and the other blocks split as in
     ``_real_split``.  With mu1's eigenvector first, diag(values) is
     [mu1] + diag(rest), written as four summands bordered by the unit
     scalars [1, mu1 - 1, 1, -1] around ``diagonal_case_summands(rest)``,
     and C conjugated by W is the fifth.
     """
     bb = b.to_array().real
-    units, k, merged, flip, c_x, vals = _odd_lead(_blocks(bb))
-    idx, x = units[k]
-    phi = np.ones(bb.shape[0], dtype=complex)
-    if flip:
-        # [y] and [-y] are consimilar via the 1-by-1 transform [i]
-        phi[idx[1]] = 1j
-        log.append({"step": "scalar-sign-flip", "position": idx[1]})
-    if merged:
-        log.append({"step": "merge-scalars", "values": [str(x[0, 0]), str(x[1, 1])]})
+    n = bb.shape[0]
+    units = [list(range(start, stop)) for start, stop in _diagonal_blocks(bb)]
+    phi = np.ones(n, dtype=complex)
+    k = next((k for k, idx in enumerate(units) if len(idx) > 1), None)
+    if k is None:
+        by_value = sorted(range(n), key=lambda i: bb[i, i])
+        i, j = by_value[-1], by_value[0]
+        if bb[i, i] == bb[j, j]:
+            if bb[i, i] == 0:
+                raise ConvergenceFailure("no 2-by-2 part can carry the odd border value of B = 0")
+            # [y] and [-y] are consimilar via the 1-by-1 transform [i]
+            bb = bb.copy()
+            bb[j, j] = -bb[j, j]
+            phi[j] = 1j
+            log.append({"step": "scalar-sign-flip", "position": j})
+        log.append({"step": "merge-scalars", "values": [str(bb[i, i]), str(bb[j, j])]})
+        units = [[i, j]] + [idx for idx in units if idx[0] not in (i, j)]
+        k = 0
+    idx = units[k]
+    c_x, vals = _fix_mu1(bb[np.ix_(idx[:2], idx[:2])])
     sp = _real_split(bb, units, (k, c_x, vals))
     first = idx[0]
     order = [first] + [i for i in range(bb.shape[0]) if i != first]
@@ -537,7 +500,8 @@ def coninvolutory_sum(
     pad_to: int | None = None,
 ) -> Decomposition:
     """At most 4 (n = 2) or 5 (n >= 3) coninvolutory summands for any
-    complex square matrix of size >= 2, certificate-ready."""
+    complex square matrix of size >= 2.  The summands are certified before
+    they are returned: ConvergenceFailure when the certificate misses."""
     if a.n < 2:
         raise UnsupportedSize("coninvolutory sums need n >= 2")
     a = a.to_floating()
@@ -546,7 +510,7 @@ def coninvolutory_sum(
     if a.is_zero():
         summands = [Matrix.identity(a.n), -Matrix.identity(a.n)]
         log.append({"step": "zero-input", "count": 2})
-        return _finish(a, summands, log, [], pad_to)
+        return _finish(a, summands, log, tol, pad_to)
 
     s0, b = consimilar_to_real(a, seed=seed, tol=tol)
     log.append({"step": "consimilar-to-real", "n": a.n})
@@ -554,7 +518,7 @@ def coninvolutory_sum(
     if a.n == 2:
         inner = coninv_sum_2x2(b, log=log)
         summands = consim_conjugate_list(s0, inner.summands)
-        return _finish(a, summands, inner.log, [], pad_to)
+        return _finish(a, summands, inner.log, tol, pad_to)
 
     if a.n % 2 == 0:
         sp = _real_split(b.to_array().real)
@@ -566,7 +530,7 @@ def coninvolutory_sum(
     summands = consim_conjugate_list(s0 @ Matrix.floating(u), inner)
     entry["amplification"] = max(k.frobenius_norm() for k in summands) / a.frobenius_norm()
     log.append(entry)
-    return _finish(a, summands, log, [], pad_to)
+    return _finish(a, summands, log, tol, pad_to)
 
 
 def consim_conjugate_list(u: Matrix, ks: list[Matrix]) -> list[Matrix]:
@@ -580,9 +544,15 @@ def _finish(
     a: Matrix,
     summands: list[Matrix],
     log: list,
-    flags: list[str],
+    tol: Tolerance,
     pad_to: int | None,
 ) -> Decomposition:
+    cert = verify_decomposition(a, Decomposition(kind=KIND_CONINV_SUM, summands=summands), tol)
+    if not cert.passed:
+        raise ConvergenceFailure(
+            f"coninvolutory sum misses its certificate: sum residual {cert.sum_residual:.3g}, "
+            f"bound {tol.bound(a.frobenius_norm()):.3g}"
+        )
     if pad_to is not None and pad_to > len(summands):
         if a.is_zero() and pad_to == 5 and len(summands) == 2:
             omega = complex(np.exp(2j * np.pi / 3))
@@ -595,4 +565,4 @@ def _finish(
                 summands = summands[:-1] + [k1, k2]
             log.append({"step": "pad-split", "count": len(summands)})
     log.append({"step": "summands", "count": len(summands)})
-    return Decomposition(kind=KIND_CONINV_SUM, summands=summands, log=log, flags=flags)
+    return Decomposition(kind=KIND_CONINV_SUM, summands=summands, log=log)

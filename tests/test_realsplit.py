@@ -27,12 +27,14 @@ from coninv.concanon import ConCanonicalError, _diagonal_blocks, _real_pair_bloc
 from coninv.matcore import ConvergenceFailure, MatrixError, SingularMatrix
 
 from conftest import random_complex
+from test_regressions import _hidden
 
 #: cond(W_j) bounds over the blocks drawn below.  Largest seen in 3000
-#: draws: 13.3 for the plain split, from real-pair chains of length 3 (their
-#: involutory parts grow like 1 / |b|, and |b| >= 1/4 here); 56 with an odd
-#: border value, where cond of the lead part follows ||C_X||, which grows
-#: like x^2 / |b| for a real pair with diagonal x
+#: draws: 13.6 for the plain split, from real-pair chains of length 3 (their
+#: involutory parts grow like 1 / |b|, and |b| >= 1/4 here); 48 with an odd
+#: border value, from three equal scalars x = 1/32.  Equal scalars merge
+#: as diag(x, -x), whose C_X has p = (x^2 - 3) / (2x); cond is then about
+#: |p|, 96 at the grid's smallest x = 1/64
 COND_CAP = 20.0
 ODD_COND_CAP = 100.0
 #: smallest gap between two values inside one chain
@@ -125,18 +127,26 @@ class TestOddBorderValue:
         b = block_diag(blocks)
         if not np.any(b):
             return
-        units, k, merged, flip, c_x, vals = conisum._odd_lead(conisum._blocks(b))
-        idx, x = units[k]
-        sp = conisum._real_split(b, units, (k, c_x, vals))
-        target = b.copy()
-        if flip:
-            target[idx[1], idx[1]] *= -1
+        seen = []
+
+        def recording(*args):
+            sp = real_split(*args)
+            seen.append((args, sp))
+            return sp
+
+        real_split = conisum._real_split
+        log = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conisum, "_real_split", recording)
+            inner, u, entry = conisum._odd_real_summands(Matrix.floating(b), log=log)
+        [((target, units, (k, _, _)), sp)] = seen
+        idx = units[k]
+        if any(e["step"] == "scalar-sign-flip" for e in log):
+            assert np.all(np.diag(b) == b[idx[0], idx[0]])
         assert_split(target, sp, ODD_COND_CAP)
         # the fixed value is exactly 0 or 2, the other one of its 2-by-2 part differs
         assert sp.values[idx[0]] in (0.0, 2.0)
         assert abs(sp.values[idx[1]] - sp.values[idx[0]]) >= 2
-        log = []
-        inner, u, entry = conisum._odd_real_summands(Matrix.floating(b), log=log)
         assert entry["mu1"] == str(int(sp.values[idx[0]]))
         assert all(is_coninvolutory(k) for k in inner)
         total = sum(k.to_array() for k in inner)
@@ -173,33 +183,43 @@ class TestRealInputs:
         a = Matrix.floating(rng.standard_normal((10, 10)))
         assert verify_decomposition(a, coninvolutory_sum(a)).passed
 
+    @pytest.mark.parametrize("hide", ["integer", "real"])
     @pytest.mark.parametrize("family", ["repeated-diagonal", "nilpotent", "jordan"])
     @pytest.mark.parametrize("seed", range(50, 65))
-    def test_hidden_structure_n7(self, family, seed):
-        # repeated spectra hidden by a real similarity (cond <= 10) and rounded
+    def test_hidden_structure_n7(self, hide, family, seed):
+        # repeated spectra hidden by the integer unimodular similarity of
+        # test_regressions._hidden (entries of A up to about 1e4), or by a
+        # real similarity with cond <= 10, rounded
         rng = np.random.default_rng(seed)
         sizes = []
         while sum(sizes) < 7:
             sizes.append(int(rng.integers(1, min(3, 7 - sum(sizes)) + 1)))
-        lam = float(rng.integers(1, 4))
+        lam = int(rng.integers(1, 4))
         if family == "repeated-diagonal":
-            b = np.diag([lam] * 4 + [-lam] * 3)
+            blocks = [(1, lam)] * 4 + [(1, -lam)] * 3
         else:
-            b = block_diag([jordan_block(m, 0.0 if family == "nilpotent" else lam).to_array().real for m in sizes])
-        while True:
-            t = rng.standard_normal((7, 7))
-            if np.linalg.cond(t) <= 10:
-                break
-        a = Matrix.floating(np.linalg.solve(t, b) @ t)
+            blocks = [(m, 0 if family == "nilpotent" else lam) for m in sizes]
+        if hide == "integer":
+            a = _hidden(blocks, seed).to_floating()
+        else:
+            b = block_diag([jordan_block(m, x).to_array().real for m, x in blocks])
+            while True:
+                t = rng.standard_normal((7, 7))
+                if np.linalg.cond(t) <= 10:
+                    break
+            a = Matrix.floating(np.linalg.solve(t, b) @ t)
         for pipeline in (coninvolutory_sum, coninvolutory_condiagonalizable_split):
             try:
-                out = pipeline(a)
+                out = pipeline(a)  # both check their result before returning
             except SingularMatrix as exc:
                 pytest.fail(f"untyped singular transform: {exc}")
             except (MatrixError, ConCanonicalError):
-                continue  # a typed error that says why
-            if pipeline is coninvolutory_sum:
-                assert verify_decomposition(a, out).passed
+                # a typed error that says why; the well-conditioned hiding certifies
+                assert hide == "integer"
+                continue
+            if pipeline is coninvolutory_condiagonalizable_split:
+                out = Decomposition(KIND_CONINV_CONDIAG, [out.C, out.D])
+            assert verify_decomposition(a, out).passed
 
 
 class TestThm1bWitness:
