@@ -239,6 +239,13 @@ class TestThm1bWitness:
         with pytest.raises(ConvergenceFailure, match="witness"):
             coninvolutory_condiagonalizable_split(a)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_wrong_split_fails_the_sum(self, monkeypatch, rng, n):
+        a = random_complex(rng, n)
+        self._wrong_q(monkeypatch)
+        with pytest.raises(ConvergenceFailure, match="certificate"):
+            coninvolutory_sum(a)
+
     def test_wrong_witness_cli_exit_3(self, monkeypatch, capsys):
         self._wrong_q(monkeypatch)
         doc = json.dumps({"n": 3, "pathway": "floating", "entries": [[1, 0], [2, 1], [0, 0], [0, -1], [3, 0], [1, 1], [2, 0], [0, 0], [1, -2]]})
