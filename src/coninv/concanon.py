@@ -11,10 +11,22 @@ conj(A) A (eigenvalue clustering at a stated tolerance), assembles each
 structurally consistent candidate, and lets a residual-verified
 intertwiner arbitrate, so every returned form is certified and failures
 are explicit.
+
+One eigendecomposition of conj(A) A serves a whole form: its eigenvalues
+give the candidates, and its eigenvectors give each diagonal block of a
+candidate its intertwiner basis in closed form when the block qualifies.
+A block qualifies when it is [beta] with beta != 0, H_1(mu) with
+Im mu != 0, or a real pair [[a, b], [-b, a]] with b != 0, and the
+eigenvalue of conj(B_j) B_j it needs (|beta|^2, conj(mu), (a + ib)^2) is
+within g = CLUSTER_TOL (1 + max |eigenvalue|) of exactly one eigenvalue
+of conj(A) A, with no other within 2g.  Every other block, and every
+closed-form basis that misses the rank tolerance, takes the kernel of the
+real consimilarity operator.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter
 from contextvars import ContextVar
@@ -28,6 +40,7 @@ from .matcore import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DESK_SCALE,
+    ConvergenceFailure,
     Matrix,
     PathwayMismatch,
     RANK_TOL,
@@ -168,6 +181,92 @@ def _diagonal_blocks(b: np.ndarray) -> list[tuple[int, int]]:
 #: concanonical_form reads it to say why each candidate was refused.
 _failure: ContextVar[str | float | None] = ContextVar("consimilarity_failure", default=None)
 
+#: (A, eigenvalues and eigenvectors of conj(A) A, ||A||_2) of the
+#: concanonical_form call in progress, shared with the candidate solves it
+#: makes
+_shared_spectral: ContextVar[tuple | None] = ContextVar("spectral", default=None)
+
+
+def _spectral(aa: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues and unit eigenvectors of conj(A) A, and ||A||_2: the
+    ones of the canonical form in progress when it is of this A, else
+    computed here."""
+    shared = _shared_spectral.get()
+    if shared is not None and np.array_equal(shared[0], aa):
+        return shared[1:]
+    try:
+        vals, vecs = np.linalg.eig(np.conj(aa) @ aa)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK cap
+        raise ConvergenceFailure(str(exc)) from exc
+    return vals, vecs, float(np.linalg.norm(aa, 2))
+
+
+def _isolated(vals: np.ndarray, target: complex) -> int | None:
+    """Index of the one eigenvalue within g of target when no other lies
+    within 2g, g = CLUSTER_TOL (1 + max |eigenvalue|); else None."""
+    g = CLUSTER_TOL * (1.0 + float(np.max(np.abs(vals))))
+    dist = np.abs(vals - target)
+    near = np.flatnonzero(dist <= 2 * g)
+    if len(near) == 1 and dist[near[0]] <= g:
+        return int(near[0])
+    return None
+
+
+def _block_shape(b: np.ndarray) -> tuple[str, complex] | None:
+    """("scalar", beta), ("h", mu) or ("pair", a + ib) when the diagonal
+    block b is [beta] with beta != 0, H_1(mu) = [[0, 1], [mu, 0]] with
+    Im mu != 0, or a real pair [[a, b], [-b, a]] with b != 0; else None."""
+    if b.shape == (1, 1):
+        return ("scalar", complex(b[0, 0])) if b[0, 0] != 0 else None
+    if b.shape != (2, 2):
+        return None
+    if b[0, 0] == 0 and b[1, 1] == 0 and b[0, 1] == 1 and b[1, 0].imag != 0:
+        return "h", complex(b[1, 0])
+    if not b.imag.any() and b[0, 0] == b[1, 1] and b[0, 1] == -b[1, 0] != 0:
+        return "pair", complex(b[0, 0].real, b[0, 1].real)
+    return None
+
+
+def _closed_form_basis(aa: np.ndarray, block: np.ndarray, spectral) -> list[np.ndarray] | None:
+    """Real solution basis of A X = conj(X) B_j, in the kernel's (Re X,
+    Im X) coordinates, from the eigenvectors of conj(A) A (coneigenvectors,
+    Horn and Johnson, Matrix Analysis, 2nd ed., sec. 4.6); None when B_j
+    does not qualify or a member, scaled to unit Frobenius norm, misses the
+    kernel's rank tolerance.  spectral() returns the eigenvalues and unit
+    eigenvectors of conj(A) A and ||A||_2.
+
+    [beta]: A v = c conj(v) for the unit eigenvector v of |beta|^2, and
+    x = e^{i arg(beta / c) / 2} v spans the solutions over the reals.
+    H_1(mu): y of conj(mu) and x = conj(A y) give [x, y] and [-ix, iy].
+    Real pair: p of z^2 and q = conj(A p) / conj(z) give X_c =
+    [(c p + conj(c) q) / 2, (c p - conj(c) q) / (2i)] for c = 1 and i.
+    """
+    shape = _block_shape(block)
+    if shape is None:
+        return None
+    kind, w = shape
+    vals, vecs, norm_a = spectral()
+    k = _isolated(vals, {"scalar": abs(w) ** 2, "h": np.conj(w), "pair": w * w}[kind])
+    if k is None:
+        return None
+    v = vecs[:, k]
+    if kind == "scalar":
+        i = int(np.argmax(np.abs(v)))
+        c = (aa[i] @ v) / np.conj(v[i])
+        basis = [(np.exp(0.5j * np.angle(w / c)) * v)[:, None]]
+    elif kind == "h":
+        x = np.conj(aa @ v)
+        basis = [np.column_stack([x, v]), np.column_stack([-1j * x, 1j * v])]
+    else:
+        q = np.conj(aa @ v) / np.conj(w)
+        basis = [np.column_stack([(c * v + np.conj(c) * q) / 2, (c * v - np.conj(c) * q) / 2j]) for c in (1, 1j)]
+    norm_b = max(1.0, abs(w)) if kind == "h" else abs(w)  # ||B_j||_2
+    bound = RANK_TOL.abs + RANK_TOL.rel * (norm_a + norm_b)
+    basis = [x / np.linalg.norm(x) for x in basis]
+    if any(np.linalg.norm(aa @ x - np.conj(x) @ block) > bound for x in basis):
+        return None
+    return [np.concatenate([x.real.ravel(), x.imag.ravel()]) for x in basis]
+
 
 def solve_consimilarity(
     a: Matrix,
@@ -182,20 +281,32 @@ def solve_consimilarity(
 
     B is split into its finest diagonal blocks B_j with zero coupling, and
     the equation splits with it: A S_j = conj(S_j) B_j for the n-by-n_j
-    column block S_j of S.  Each solution set is a real-linear subspace,
-    the kernel of a real operator of side 2 n n_j.  Each trial draws a
-    seeded random real combination of every block's kernel basis, scales
-    S_j to Frobenius norm sqrt(n_j) and keeps the best-conditioned S below
-    cond_cap, stopping early once cond(S) < 1e3.  The residual of that S
-    is the final arbiter.
+    column block S_j of S.  Each solution set is a real-linear subspace.  A
+    block qualifies for a closed-form basis when it is [beta] with
+    beta != 0, H_1(mu) = [[0, 1], [mu, 0]] with Im mu != 0, or a real pair
+    [[a, b], [-b, a]] with b != 0, and the eigenvalue of conj(B_j) B_j it
+    needs (|beta|^2, conj(mu), (a + ib)^2) matches exactly one eigenvalue
+    of conj(A) A: within g = CLUSTER_TOL (1 + max |eigenvalue|), with no
+    other within 2g.  Its basis then comes from one eigenvector and must
+    pass the kernel's rank tolerance, each member scaled to unit Frobenius
+    norm; every other block takes the kernel of a real operator of side
+    2 n n_j.  Each trial draws a seeded random real combination of every
+    block's basis, scales S_j to Frobenius norm sqrt(n_j) and keeps the
+    best-conditioned S below cond_cap, stopping early once cond(S) < 1e3.
+    The residual of that S is the final arbiter.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     n = a.n
     aa, bb = a.to_array(), b.to_array()
+    # computed once some block qualifies by shape, then kept for the rest
+    spectral = functools.cache(lambda: _spectral(aa))
     bases = []
     for start, stop in _diagonal_blocks(bb):
-        basis = real_linear_nullspace(_consim_operator(aa, bb[start:stop, start:stop]), RANK_TOL)
+        block = bb[start:stop, start:stop]
+        basis = _closed_form_basis(aa, block, spectral)
+        if basis is None:
+            basis = real_linear_nullspace(_consim_operator(aa, block), RANK_TOL)
         if not basis:
             _failure.set("empty kernel")
             return None
@@ -394,9 +505,10 @@ def _structural_rank(blocks: list[ConCanonicalBlock]) -> int:
 
 
 def _candidate_blocks(
-    m: np.ndarray, n: int, rank_a: int, cluster_tol: float = CLUSTER_TOL
+    m: np.ndarray, vals: np.ndarray, rank_a: int, cluster_tol: float = CLUSTER_TOL
 ) -> list[list[ConCanonicalBlock]]:
-    vals = np.linalg.eigvals(m)
+    """Block assignments for conj(A) A = m with eigenvalues vals, best
+    first."""
     scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
     tol = cluster_tol * (1.0 + scale)
     clusters = _cluster_eigenvalues(vals, scale, cluster_tol)
@@ -478,30 +590,35 @@ def concanonical_form(
     rank_a = numerical_rank(arr)
     seen: set[tuple] = set()
     tried: list[tuple[list[ConCanonicalBlock], str | float]] = []
-    # escalate the clustering tolerance only after the finer reading fails:
-    # heavily coupled inputs (large Jordan blocks through a conjugation)
-    # scatter an eigenvalue cluster far beyond the nominal tolerance, and
-    # the residual check keeps coarser readings honest
-    for factor in (1.0, 10.0, 100.0, 1000.0):
-        try:
-            candidates = _candidate_blocks(m, a.n, rank_a, CLUSTER_TOL * factor)
-        except ConCanonicalError:
-            continue
-        for blocks in candidates:
-            if sum(b.dim for b in blocks) != a.n:
+    vals, vecs, norm_a = _spectral(arr)
+    token = _shared_spectral.set((arr, vals, vecs, norm_a))
+    try:
+        # escalate the clustering tolerance only after the finer reading
+        # fails: heavily coupled inputs (large Jordan blocks through a
+        # conjugation) scatter an eigenvalue cluster far beyond the nominal
+        # tolerance, and the residual check keeps coarser readings honest
+        for factor in (1.0, 10.0, 100.0, 1000.0):
+            try:
+                candidates = _candidate_blocks(m, vals, rank_a, CLUSTER_TOL * factor)
+            except ConCanonicalError:
                 continue
-            key = tuple(
-                (b.kind, b.size, round(complex(b.param).real, 9), round(complex(b.param).imag, 9))
-                for b in blocks
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            target = direct_sum(*[build_block(b) for b in blocks]) if blocks else Matrix.zeros(a.n)
-            s = solve_consimilarity(a, target, seed=seed, tol=tol)
-            if s is not None:
-                return ConCanonicalForm(blocks=blocks, S=s)
-            tried.append((blocks, _failure.get()))
+            for blocks in candidates:
+                if sum(b.dim for b in blocks) != a.n:
+                    continue
+                key = tuple(
+                    (b.kind, b.size, round(complex(b.param).real, 9), round(complex(b.param).imag, 9))
+                    for b in blocks
+                )
+                if key in seen:
+                    continue
+                seen.add(key)
+                target = direct_sum(*[build_block(b) for b in blocks]) if blocks else Matrix.zeros(a.n)
+                s = solve_consimilarity(a, target, seed=seed, tol=tol)
+                if s is not None:
+                    return ConCanonicalForm(blocks=blocks, S=s)
+                tried.append((blocks, _failure.get()))
+    finally:
+        _shared_spectral.reset(token)
     raise ConCanonicalError(f"no candidate block assignment verified ({_summary(tried)})", tried=tried)
 
 
@@ -573,16 +690,14 @@ def coninvolutory_factor(
         raise ValueError("input is not coninvolutory at the stated tolerance")
     arr = c.to_array()
     n = c.n
-    best, best_cond = None, np.inf
-    for k in range(1, sweep + 1):
-        theta = np.pi * k / (sweep + 1)
-        s = np.exp(1j * theta) * arr + np.exp(-1j * theta) * np.eye(n)
-        cond = np.linalg.cond(s)
-        if np.isfinite(cond) and cond < best_cond:
-            best, best_cond = s, cond
-    if best is None or best_cond > 1e12:
+    theta = np.pi * np.arange(1, sweep + 1) / (sweep + 1)
+    stack = np.exp(1j * theta)[:, None, None] * arr + np.exp(-1j * theta)[:, None, None] * np.eye(n)
+    conds = np.linalg.cond(stack)
+    conds[~np.isfinite(conds)] = np.inf
+    k = int(np.argmin(conds))  # the first minimum, as a sweep in theta order keeps
+    if conds[k] > 1e12:
         raise ConCanonicalError("every theta in the sweep produced a singular factor")
-    best = best * (np.sqrt(n) / np.linalg.norm(best, "fro"))
+    best = stack[k] * (np.sqrt(n) / np.linalg.norm(stack[k], "fro"))
     return Matrix.floating(best)
 
 

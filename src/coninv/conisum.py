@@ -513,7 +513,7 @@ def coninvolutory_sum(
         return _finish(a, summands, log, tol, pad_to)
 
     s0, b = consimilar_to_real(a, seed=seed, tol=tol)
-    log.append({"step": "consimilar-to-real", "n": a.n})
+    log.append({"step": "consimilar-to-real", "n": a.n, "cond_S": float(np.linalg.cond(s0.to_array()))})
 
     if a.n == 2:
         inner = coninv_sum_2x2(b, log=log)

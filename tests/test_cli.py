@@ -251,12 +251,14 @@ def test_convergence_failure_is_numerical(monkeypatch, capsys):
     assert "numerical failure" in err
 
 
-def test_skew_parameter_cap_is_numerical(capsys):
-    # seed-200 hidden J3(1)^2 + J2(1)^2 + J1(1)^2: the skew pair tuning hits its cap
-    from coninv.matcore import matrix_to_json
-    from test_regressions import _hidden
+def test_skew_parameter_cap_is_numerical(capsys, monkeypatch):
+    # J2(1) + [2] + [3] with the cap lowered: the pair (2, 3) needs |a| = 1.96
+    from coninv import skewsum
 
-    a = _hidden([(3, 1), (3, 1), (2, 1), (2, 1), (1, 1), (1, 1)], 200).to_floating()
-    code, _, err = run(capsys, "decompose", "--kind", "skew", "--json", json.dumps(matrix_to_json(a)))
+    monkeypatch.setattr(skewsum, "PARAM_CAP", 1e-3)
+    entries = [[0, 0]] * 16
+    for k, v in {0: 1, 1: 1, 5: 1, 10: 2, 15: 3}.items():
+        entries[k] = [v, 0]
+    code, _, err = run(capsys, "decompose", "--kind", "skew", "--json", matrix_json(entries))
     assert code == 3
-    assert "numerical failure" in err and "parameter cap" in err
+    assert "numerical failure" in err and "pair values 2, 3 too close" in err and "parameter cap" in err

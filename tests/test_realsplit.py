@@ -267,6 +267,16 @@ class TestRouteLog:
         assert back["cond_W"] == entry["cond_W"] and back["amplification"] == entry["amplification"]
         assert type(back["cond_W"]) is float and type(back["amplification"]) is float
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_cond_s_logged(self, rng, n):
+        a = random_complex(rng, n)
+        d = coninvolutory_sum(a)
+        (entry,) = [e for e in d.log if e["step"] == "consimilar-to-real"]
+        assert type(entry["cond_S"]) is float and 1.0 <= entry["cond_S"] < np.inf
+        wire = json.loads(json.dumps(decomposition_to_json(d), allow_nan=False))
+        (back,) = [e for e in decomposition_from_json(wire).log if e["step"] == "consimilar-to-real"]
+        assert back["cond_S"] == entry["cond_S"]
+
 
 def test_floating_pipelines_skip_the_exact_layer(monkeypatch, rng):
     def refuse(*args, **kwargs):
