@@ -593,27 +593,58 @@ def numerical_rank(arr: np.ndarray, tol: Tolerance = RANK_TOL) -> int:
 def matrix_to_json(a: Matrix) -> dict:
     """{"n":., "pathway":., "entries": row-major [[re,im],...] or "p/q"}."""
     if a.pathway == "exact":
-        entries = [str(a._d[i][j]) for i in range(a.n) for j in range(a.n)]
+        entries = [str(x) for row in a._d for x in row]
     else:
-        entries = [[float(a._d[i, j].real), float(a._d[i, j].imag)] for i in range(a.n) for j in range(a.n)]
+        entries = np.stack((a._d.real, a._d.imag), -1).reshape(-1, 2).tolist()
     return {"n": a.n, "pathway": a.pathway, "entries": entries}
 
 
 def matrix_from_json(d: dict) -> Matrix:
+    """Inverse of `matrix_to_json`, bit for bit (signed zeros included);
+    a malformed document or entry is a MatrixError that names it."""
     try:
         n = int(d["n"])
         pathway = d["pathway"]
         entries = d["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MatrixError(f"malformed matrix JSON: {exc}") from exc
     if n < 1:
         raise MatrixError("matrix JSON requires n >= 1")
+    if not isinstance(entries, (list, tuple)):
+        raise MatrixError("matrix JSON entries must be a list")
     if len(entries) != n * n:
         raise MatrixError(f"expected {n * n} entries, got {len(entries)}")
     if pathway == "exact":
-        vals = [Fraction(e) for e in entries]
+        vals = [_fraction_entry(k, e) for k, e in enumerate(entries)]
         return Matrix.exact([vals[i * n : (i + 1) * n] for i in range(n)])
     if pathway == "floating":
-        vals = [complex(float(e[0]), float(e[1])) for e in entries]
-        return Matrix.floating(np.array([vals[i * n : (i + 1) * n] for i in range(n)]))
+        return Matrix.floating(_float_pairs(entries).view(np.complex128).reshape(n, n))
     raise MatrixError(f"unknown pathway {pathway!r}")
+
+
+_ENTRY_ERRORS = (TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _fraction_entry(k: int, e) -> Fraction:
+    try:
+        return Fraction(e)
+    except _ENTRY_ERRORS as exc:
+        raise MatrixError(f"malformed matrix JSON: entry {k} is {e!r} ({exc})") from exc
+
+
+def _float_pairs(entries) -> np.ndarray:
+    """The [re, im] entries as one C-ordered float64 (len, 2) array."""
+    try:
+        arr = np.array(entries, dtype=np.float64)
+        if arr.shape == (len(entries), 2):
+            return arr
+    except _ENTRY_ERRORS:
+        pass
+    for k, e in enumerate(entries):
+        try:
+            if np.array(e, dtype=np.float64).shape == (2,):
+                continue
+        except _ENTRY_ERRORS:
+            pass
+        raise MatrixError(f"malformed matrix JSON: entry {k} is {e!r}, not a [re, im] pair")
+    raise MatrixError("malformed matrix JSON: entries are not [re, im] pairs")

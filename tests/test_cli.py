@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +263,23 @@ def test_skew_parameter_cap_is_numerical(capsys, monkeypatch):
     code, _, err = run(capsys, "decompose", "--kind", "skew", "--json", matrix_json(entries))
     assert code == 3
     assert "numerical failure" in err and "pair values 2, 3 too close" in err and "parameter cap" in err
+
+
+def test_missed_skew_certificate_is_numerical(capsys):
+    doc = (Path(__file__).parent / "data" / "skew_certificate_miss_n8.json").read_text()
+    code, out, err = run(capsys, "decompose", "--kind", "skew", "--json", doc)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err and "skew sum misses its certificate" in err
+
+
+@pytest.mark.parametrize(
+    "pathway, entry",
+    [("floating", [1.0]), ("floating", 1.0), ("floating", "x"), ("exact", "1/0"), ("exact", None)],
+)
+def test_malformed_entry_is_an_input_error(capsys, pathway, entry):
+    good = [1.0, 0.0] if pathway == "floating" else "1"
+    code, out, err = run(capsys, "decompose", "--kind", "coninv", "--json", matrix_json([good] * 3 + [entry], pathway))
+    assert code == 2
+    assert out == ""
+    assert "entry 3" in err and "Traceback" not in err

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,6 +20,7 @@ from coninv import (
 from coninv.matcore import (
     ConvergenceFailure,
     DimensionMismatch,
+    MatrixError,
     PathwayMismatch,
     RANK_TOL,
     SingularMatrix,
@@ -419,6 +421,47 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(Exception):
             matrix_from_json({"n": 2, "pathway": "floating", "entries": [[0, 0]]})
+
+    @pytest.mark.parametrize(
+        "pathway, entry",
+        [
+            ("floating", [1.0]),  # was IndexError
+            ("floating", 1.0),  # was TypeError
+            ("floating", [1.0, 2.0, 3.0]),
+            ("floating", "x"),
+            ("exact", "1/0"),  # was ZeroDivisionError
+            ("exact", None),
+            ("exact", float("inf")),
+        ],
+    )
+    def test_malformed_entry_is_named(self, pathway, entry):
+        good = [0.0, 1.0] if pathway == "floating" else "1/2"
+        doc = {"n": 2, "pathway": pathway, "entries": [good, good, entry, good]}
+        with pytest.raises(MatrixError, match="entry 2"):
+            matrix_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [{"n": "two", "pathway": "floating", "entries": []}, {"n": 1, "pathway": "floating", "entries": 5}])
+    def test_malformed_document(self, doc):
+        with pytest.raises(MatrixError):
+            matrix_from_json(doc)
+
+    EDGES = [0.0, -0.0, 1.0, -1.5, np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny, -np.finfo(float).tiny, 5e-324, -5e-324]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_floating_wire_is_bit_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4
+        parts = rng.choice(np.array(self.EDGES + list(rng.standard_normal(6))), size=(2, n, n))
+        arr = np.empty((n, n), dtype=complex)
+        arr.real, arr.imag = parts  # x + 0j arithmetic would lose signed zeros
+        a = Matrix.floating(arr)
+        doc = matrix_to_json(a)
+        reference = [[float(a._d[i, j].real), float(a._d[i, j].imag)] for i in range(n) for j in range(n)]
+        assert json.dumps(doc["entries"]) == json.dumps(reference)
+        back = matrix_from_json(json.loads(json.dumps(doc)))
+        assert np.array_equal(back.to_array(), a.to_array())
+        assert np.array_equal(np.signbit(back.to_array().real), np.signbit(parts[0]))
+        assert np.array_equal(np.signbit(back.to_array().imag), np.signbit(parts[1]))
 
 
 class TestTolerance:

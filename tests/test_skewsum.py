@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +20,16 @@ from coninv import (
     skew_sum_jordan,
     verify_decomposition,
 )
-from coninv.certify import FLAG_NONOPTIMAL
+from coninv import skewsum
+from coninv.certify import FLAG_NONOPTIMAL, decomposition_from_json, decomposition_to_json
 from coninv.concanon import ConCanonicalBlock, build_block
-from coninv.matcore import UnsupportedSize
+from coninv.matcore import ConvergenceFailure, UnsupportedSize, matrix_from_json
 from coninv.skewsum import ParameterCapExceeded, skew_identity_pair, skew_traceless_pair
 
 import gaussq
 from conftest import random_complex
+
+DATA = Path(__file__).parent / "data"
 
 
 def as_gauss(grid):
@@ -143,6 +148,15 @@ class TestJordanRoute:
         assert d.count <= 6
         assert verify_decomposition(a, d).passed
 
+    def test_fallback_logs_the_search_draws(self):
+        a = direct_sum(jordan_block(2, 0.0), jordan_block(1, 0.0), jordan_block(1, 0.0))
+        d = skew_sum_jordan(a)
+        assert FLAG_NONOPTIMAL in d.flags
+        assert d.log[-1] == {"step": "rotation-fallback", "count": 6, "restarts": 200}
+        wire = json.loads(json.dumps(decomposition_to_json(d)))
+        assert decomposition_from_json(wire).log[-1]["restarts"] == 200
+        assert verify_decomposition(a, d).passed
+
     def test_spec_mismatch_rejected(self):
         a = jordan_block(2, 3.0)
         with pytest.raises(ValueError):
@@ -220,3 +234,25 @@ class TestSkewSum:
                 d = skew_coninvolutory_sum(a)
                 assert d.count <= 5 and not d.flags
                 assert verify_decomposition(a, d).passed
+
+
+class TestCertificateCheck:
+    def test_missed_certificate_raises(self):
+        # structured-envelope seed 306, round 109, operation 18: a hidden
+        # H2(-1.43) + H2(-0.33) read through cond(S) ~ 7.6e5, whose sum
+        # used to come back failing its certificate without an error
+        a = matrix_from_json(json.loads((DATA / "skew_certificate_miss_n8.json").read_text()))
+        assert a.n == 8
+        with pytest.raises(ConvergenceFailure, match="skew sum misses its certificate"):
+            skew_coninvolutory_sum(a)
+
+    def test_corrupted_summands_raise(self, monkeypatch, rng):
+        honest = skewsum.consim_conjugate_list
+
+        def corrupted(u, ks):
+            out = honest(u, ks)
+            return [out[0] + 1e-3 * Matrix.identity(u.n)] + out[1:]
+
+        monkeypatch.setattr(skewsum, "consim_conjugate_list", corrupted)
+        with pytest.raises(ConvergenceFailure, match="sum residual"):
+            skew_coninvolutory_sum(random_complex(rng, 4))
