@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matcore import DEFAULT_TOL, Matrix, Tolerance, matrix_from_json, matrix_to_json
+from .matcore import DEFAULT_TOL, ConvergenceFailure, Matrix, Tolerance, matrix_from_json, matrix_to_json
 
 #: kind tags used on the wire
 KIND_CONINV_SUM = "coninvolutory-sum"
@@ -124,6 +124,18 @@ def verify_decomposition(a: Matrix, d: Decomposition, tol: Tolerance = DEFAULT_T
         flags=list(d.flags),
         tolerance=tol,
     )
+
+
+def require_certificate(a: Matrix, d: Decomposition, tol: Tolerance, what: str) -> None:
+    """`verify_decomposition`, raising ConvergenceFailure ("<what> misses
+    its certificate") when the certificate does not pass."""
+    cert = verify_decomposition(a, d, tol)
+    if not cert.passed:
+        raise ConvergenceFailure(
+            f"{what} misses its certificate: sum residual {cert.sum_residual:.3g}, "
+            f"bound {tol.bound(a.frobenius_norm()):.3g}; largest summand residual "
+            f"{max(cert.summand_residuals):.3g}"
+        )
 
 
 def oracle_involutory_trace(d: Decomposition, tol: float = 1e-9) -> bool:

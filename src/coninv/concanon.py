@@ -508,7 +508,9 @@ def _candidate_blocks(
     m: np.ndarray, vals: np.ndarray, rank_a: int, cluster_tol: float = CLUSTER_TOL
 ) -> list[list[ConCanonicalBlock]]:
     """Block assignments for conj(A) A = m with eigenvalues vals, best
-    first."""
+    first.  A cluster near 0 reads as zero only when A is numerically
+    singular (rank_a < n): a nonsingular A has no J(0) block, however small
+    its smallest eigenvalue of conj(A) A."""
     scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
     tol = cluster_tol * (1.0 + scale)
     clusters = _cluster_eigenvalues(vals, scale, cluster_tol)
@@ -518,7 +520,7 @@ def _candidate_blocks(
     for i, (sigma, mult, radius) in enumerate(clusters):
         if consumed[i]:
             continue
-        if abs(sigma) <= tol:
+        if abs(sigma) <= tol and rank_a < len(vals):
             kind, label = "zero", 0.0
         elif abs(sigma.imag) <= tol:
             kind, label = ("positive", sigma) if sigma.real > 0 else ("negative", sigma)

@@ -28,12 +28,7 @@ from itertools import chain, count
 
 import numpy as np
 
-from .certify import (
-    KIND_CONINV_CONDIAG,
-    KIND_CONINV_SUM,
-    Decomposition,
-    verify_decomposition,
-)
+from .certify import KIND_CONINV_SUM, Decomposition, require_certificate
 from .concanon import _diagonal_blocks, consimilar_to_real
 from .matcore import (
     DEFAULT_SEED,
@@ -94,23 +89,28 @@ def gauss_to_matrix(rows) -> Matrix:
     )
 
 
-def diagonal_case_summands(values) -> list[Matrix]:
-    """Four global coninvolutory summands for diag(values), len(values) even.
+def diagonal_pair_summands(values, traceless, identity) -> list[Matrix]:
+    """Four global summands for diag(values), len(values) even.
 
-    Consecutive pairs (a, b) run the traceless pair at c = (a-b)/4 and the
-    scaled-identity pair at c = (a+b)/4, direct-summed position by position
-    so each of the four full-size summands is itself coninvolutory.
+    Consecutive pairs (a, b) run the pair function `traceless` (diag(2c,
+    -2c)) at c = (a-b)/4 and `identity` (diag(2c, 2c)) at c = (a+b)/4,
+    direct-summed position by position, so each of the four full-size
+    summands keeps the predicate the pair functions share.
     """
     if len(values) % 2:
         raise ValueError("even value count required")
     per_slot: list[list[Matrix]] = [[], [], [], []]
     for a, b in zip(values[::2], values[1::2]):
-        quarter = (a - b) / 4
-        t1, t2 = traceless_pair(quarter)
-        s1, s2 = scaled_identity_pair((a + b) / 4)
+        t1, t2 = traceless((a - b) / 4)
+        s1, s2 = identity((a + b) / 4)
         for slot, grid in zip(per_slot, (t1, t2, s1, s2)):
             slot.append(gauss_to_matrix(grid))
     return [direct_sum(*slot) for slot in per_slot]
+
+
+def diagonal_case_summands(values) -> list[Matrix]:
+    """Four global coninvolutory summands for diag(values), len(values) even."""
+    return diagonal_pair_summands(values, traceless_pair, scaled_identity_pair)
 
 
 def split_unimodular(k: Matrix) -> tuple[Matrix, Matrix]:
@@ -182,22 +182,12 @@ def classify_real_2x2(a: Matrix) -> Real2x2Class:
     return Real2x2Class("jordan", (lam,), Matrix.floating(t))
 
 
-def _conjugate_by(t: Matrix, ks: list[Matrix]) -> list[Matrix]:
-    t_inv = t.inverse()
-    return [t @ k @ t_inv for k in ks]
-
-
 def coninv_sum_2x2(a: Matrix, *, log: list | None = None) -> Decomposition:
     """Exactly four coninvolutory summands for a real 2-by-2 matrix."""
     cls = classify_real_2x2(a)
     entries: list[Matrix] = []
     if cls.kind == "diag":
-        x, y = cls.params
-        xf = Fraction(float(x)).limit_denominator(10**12)
-        yf = Fraction(float(y)).limit_denominator(10**12)
-        t1, t2 = traceless_pair((xf - yf) / 4)
-        s1, s2 = scaled_identity_pair((xf + yf) / 4)
-        entries = [gauss_to_matrix(g) for g in (t1, t2, s1, s2)]
+        entries = diagonal_case_summands([float(p) for p in cls.params])
     elif cls.kind == "jordan":
         (x,) = cls.params
         s1, s2 = scaled_identity_pair(float(x) / 2)
@@ -208,7 +198,7 @@ def coninv_sum_2x2(a: Matrix, *, log: list | None = None) -> Decomposition:
         s1, s2 = scaled_identity_pair(float(x) / 2)
         r1, r2 = rotation_pair(float(y))
         entries = [gauss_to_matrix(g) for g in (s1, s2, r1, r2)]
-    summands = _conjugate_by(cls.transform, entries)
+    summands = consim_conjugate_list(cls.transform, entries)
     rec = list(log or [])
     rec.append({"step": "real-2x2", "class": cls.kind, "params": [float(p) for p in cls.params]})
     return Decomposition(kind=KIND_CONINV_SUM, summands=summands, log=rec)
@@ -547,12 +537,7 @@ def _finish(
     tol: Tolerance,
     pad_to: int | None,
 ) -> Decomposition:
-    cert = verify_decomposition(a, Decomposition(kind=KIND_CONINV_SUM, summands=summands), tol)
-    if not cert.passed:
-        raise ConvergenceFailure(
-            f"coninvolutory sum misses its certificate: sum residual {cert.sum_residual:.3g}, "
-            f"bound {tol.bound(a.frobenius_norm()):.3g}"
-        )
+    require_certificate(a, Decomposition(kind=KIND_CONINV_SUM, summands=summands), tol, "coninvolutory sum")
     if pad_to is not None and pad_to > len(summands):
         if a.is_zero() and pad_to == 5 and len(summands) == 2:
             omega = complex(np.exp(2j * np.pi / 3))

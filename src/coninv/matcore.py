@@ -412,15 +412,16 @@ class Matrix:
             return self
         return Matrix.floating(self._d.real)
 
-    def inverse(self, tol: Tolerance | None = None) -> "Matrix":
-        """Inverse by Gauss-Jordan elimination.
+    def inverse(self) -> "Matrix":
+        """Inverse.
 
-        Exact pathway: bit-exact, reducing [A | I] with ``_rref``, whose
-        rows are primitive integer vectors until the pivot rows are divided
-        by their pivots at the end; raises SingularMatrix when A is
-        singular.
-        Floating pathway: partial pivoting; raises SingularMatrix when the
-        best pivot falls below the rank tolerance.
+        Exact pathway: Gauss-Jordan elimination, bit-exact, reducing
+        [A | I] with ``_rref``, whose rows are primitive integer vectors
+        until the pivot rows are divided by their pivots at the end; raises
+        SingularMatrix when A is singular.
+        Floating pathway: one LAPACK ``inv``; raises SingularMatrix when
+        sigma_min <= n eps sigma_max (numpy's ``matrix_rank`` default, a
+        test with no scale) or when LAPACK meets an exactly zero pivot.
         """
         n = self.n
         if self.pathway == "exact":
@@ -428,27 +429,13 @@ class Matrix:
             if len(_rref(aug, n)) < n:
                 raise SingularMatrix("exact matrix is singular")
             return Matrix.exact([row[n:] for row in aug])
-
-        t = tol or RANK_TOL
-        thresh = t.bound(self.max_abs())
-        a = self._d.copy()
-        inv = np.eye(n, dtype=np.complex128)
-        for col in range(n):
-            piv = col + int(np.argmax(np.abs(a[col:, col])))
-            if abs(a[piv, col]) < thresh:
-                raise SingularMatrix(f"pivot {abs(a[piv, col]):.3e} below tolerance")
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                inv[[col, piv]] = inv[[piv, col]]
-            f = a[col, col]
-            a[col] /= f
-            inv[col] /= f
-            for r in range(n):
-                if r != col and a[r, col] != 0:
-                    g = a[r, col]
-                    a[r] -= g * a[col]
-                    inv[r] -= g * inv[col]
-        return Matrix(n, "floating", inv)
+        try:
+            sv = np.linalg.svd(self._d, compute_uv=False)
+            if n and sv[-1] <= n * np.finfo(float).eps * sv[0]:
+                raise SingularMatrix(f"singular values {sv[-1]:.3e} and {sv[0]:.3e}: condition beyond 1/(n eps)")
+            return Matrix(n, "floating", np.linalg.inv(self._d))
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix(str(exc)) from exc
 
     def char_poly(self) -> Polynomial:
         """Characteristic polynomial via the Faddeev-LeVerrier recurrence.
@@ -479,14 +466,6 @@ class Matrix:
 
 
 # -- free-function surface -------------------------------------------------
-
-
-def conj(a: Matrix) -> Matrix:
-    return a.conj()
-
-
-def inverse(a: Matrix, tol: Tolerance | None = None) -> Matrix:
-    return a.inverse(tol)
 
 
 def char_poly(a: Matrix) -> Polynomial:
@@ -535,13 +514,11 @@ def close(a: Matrix, b: Matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     return (a - b).frobenius_norm() <= tol.bound(b.frobenius_norm())
 
 
-def eigenvalues(a: Matrix, tol: Tolerance | None = None, max_n: int = DESK_SCALE) -> list[complex]:
+def eigenvalues(a: Matrix, max_n: int = DESK_SCALE) -> list[complex]:
     """Eigenvalues with multiplicity (floating pathway, desk scale).
 
     Backed by LAPACK's Hessenberg + shifted-QR driver; non-convergence is
-    reported as ConvergenceFailure.  `tol` is accepted for interface
-    symmetry with the other spectral routines; the QR driver manages its
-    own convergence thresholds.
+    reported as ConvergenceFailure.
     """
     if a.pathway != "floating":
         raise PathwayMismatch("eigenvalues requires the floating pathway")

@@ -22,17 +22,11 @@ certificate before it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, permutations, repeat
 
 import numpy as np
 
-from .certify import (
-    FLAG_NONOPTIMAL,
-    KIND_SKEW_SUM,
-    Decomposition,
-    verify_decomposition,
-)
+from .certify import FLAG_NONOPTIMAL, KIND_SKEW_SUM, Decomposition, require_certificate
 from .concanon import (
     ConCanonicalBlock,
     build_block,
@@ -43,7 +37,7 @@ from .concanon import (
     solve_consimilarity,
     ConCanonicalError,
 )
-from .conisum import consim_conjugate_list, gauss_to_matrix, split_unimodular
+from .conisum import consim_conjugate_list, diagonal_pair_summands, split_unimodular
 from .matcore import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -111,15 +105,7 @@ def skew_block_matrix(a: float, b: float) -> Matrix:
 
 def skew_diag_summands(values) -> list[Matrix]:
     """Four global skew summands for diag(values), len(values) even."""
-    if len(values) % 2:
-        raise ValueError("even value count required")
-    per_slot: list[list[Matrix]] = [[], [], [], []]
-    for a, b in zip(values[::2], values[1::2]):
-        t1, t2 = skew_traceless_pair((a - b) / 4)
-        s1, s2 = skew_identity_pair((a + b) / 4)
-        for slot, grid in zip(per_slot, (t1, t2, s1, s2)):
-            slot.append(gauss_to_matrix(grid))
-    return [direct_sum(*slot) for slot in per_slot]
+    return diagonal_pair_summands(values, skew_traceless_pair, skew_identity_pair)
 
 
 def skew_sum_diag_pair(a, b) -> Decomposition:
@@ -529,15 +515,6 @@ def _rotation_fallback(a: Matrix, lam: list[float], eps: list[int]) -> list[Matr
 # ---------------------------------------------------------------------------
 
 
-def _identity_as_skew_pair(n: int) -> tuple[Matrix, Matrix]:
-    """I_n (n even) as a sum of two skew-coninvolutory matrices."""
-    half = Fraction(1, 2)
-    k1, k2 = skew_identity_pair(half)
-    m1 = direct_sum(*[gauss_to_matrix(k1)] * (n // 2))
-    m2 = direct_sum(*[gauss_to_matrix(k2)] * (n // 2))
-    return m1, m2
-
-
 def skew_sum_hblock(
     m: int,
     mu: complex,
@@ -578,10 +555,11 @@ def skew_sum_hblock(
     k2 = Matrix.floating(np.block([[-np.eye(m), zeros], [zeros, np.eye(m)]]))
 
     parts: list[Matrix] = []
-    ident_pair = _identity_as_skew_pair(n2)
+    # I as a sum of two skew summands: the identity pair of diag(1, ..., 1)
+    ident_pair = skew_diag_summands([1.0] * n2)[2:]
     for k in (k1, k2):
         s = coninvolutory_factor(k, tol=tol)
-        s_bar_inv = Matrix.floating(np.conj(s.to_array())).inverse()
+        s_bar_inv = s.conj().inverse()
         for half_summand in ident_pair:
             parts.append(s_bar_inv @ half_summand @ s)
     summands = [k0] + consim_conjugate_list(w, parts)
@@ -681,13 +659,7 @@ def _finish_skew(
     tol: Tolerance,
     pad_to: int | None,
 ) -> Decomposition:
-    cert = verify_decomposition(a, Decomposition(KIND_SKEW_SUM, summands, flags=flags), tol)
-    if not cert.passed:
-        raise ConvergenceFailure(
-            f"skew sum misses its certificate: sum residual {cert.sum_residual:.3g}, "
-            f"bound {tol.bound(a.frobenius_norm()):.3g}; largest summand residual "
-            f"{max(cert.summand_residuals):.3g}"
-        )
+    require_certificate(a, Decomposition(KIND_SKEW_SUM, summands, flags=flags), tol, "skew sum")
     if pad_to is not None and pad_to > len(summands):
         summands = _pad_part(summands, pad_to, a.n)
         log.append({"step": "pad", "count": len(summands)})

@@ -170,6 +170,48 @@ class TestInverse:
             res = (a @ a.inverse() - Matrix.identity(5)).frobenius_norm()
             assert res <= Tolerance().bound(1.0)
 
+    # the floating rule: SingularMatrix when sigma_min <= n eps sigma_max or
+    # when LAPACK refuses; it has no scale
+
+    @pytest.mark.parametrize(
+        "rows",
+        [np.zeros((3, 3)), [[1, 2, 3], [2, 4, 6], [1, 0, 1]]],
+        ids=["zeros", "rank-2"],
+    )
+    def test_floating_singular(self, rows):
+        with pytest.raises(SingularMatrix):
+            Matrix.floating(rows).inverse()
+
+    def test_lapack_refusal_is_singular(self, monkeypatch):
+        def refuse(_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        with pytest.raises(SingularMatrix, match="Singular matrix"):
+            Matrix.identity(3).inverse()
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_scale_free(self, rng, c):
+        a = random_complex(rng, 4)
+        ref = a.inverse().to_array()
+        inv = (a * c).inverse().to_array()
+        assert np.linalg.norm(inv * c - ref) <= 1e-12 * np.linalg.norm(ref)
+        # an absolute pivot threshold would refuse a small multiple of I_3
+        assert np.allclose((Matrix.identity(3) * c).inverse().to_array(), np.eye(3) / c, rtol=1e-15, atol=0)
+
+    def test_ill_conditioned_nonsingular(self):
+        # cond ~ 4e13 lies below 1 / (n eps), so A is invertible; a pivot
+        # threshold of 1e-10 would refuse it
+        a = Matrix.floating([[1, 1], [1, 1 + 1e-13]])
+        cond = np.linalg.cond(a.to_array())
+        res = np.linalg.norm((a @ a.inverse()).to_array() - np.eye(2), 2)
+        assert res <= cond * 2 * np.finfo(float).eps
+
+    def test_singular_message_has_no_division(self):
+        with np.errstate(all="raise"):
+            with pytest.raises(SingularMatrix, match="singular values 0.000e\\+00 and 0.000e\\+00"):
+                Matrix.zeros(3).inverse()
+
 
 def sympy_rref(rows):
     """Reference reduced row echelon form and pivot columns from sympy."""

@@ -51,6 +51,19 @@ def test_former_svd_nonconvergence_input(pipeline):
     assert verify_decomposition(a, pipeline(a)).passed
 
 
+@pytest.mark.parametrize("name", ["small_sigma_n8_seed410.json", "small_sigma_n8_seed510.json"])
+@pytest.mark.parametrize("pipeline", [coninvolutory_sum, skew_coninvolutory_sum, _thm1b])
+def test_nonsingular_input_with_small_coneigenvalue(pipeline, name):
+    # complex-generic benchmark inputs (seed 410 round 2, seed 510 round 4;
+    # cond 783 and 925) whose smallest eigenvalue of conj(A) A, 1.7e-4 and
+    # 1.2e-4, fell inside the cluster tolerance of 0 and was read as a
+    # J(0) block; a nonsingular A has none, and every pipeline raised
+    # ConCanonicalError ("1 tried, empty kernel 1")
+    a = matrix_from_json(json.loads((DATA / name).read_text()))
+    assert a.n == 8 and np.linalg.cond(a.to_array()) < 1e3
+    assert verify_decomposition(a, pipeline(a)).passed
+
+
 # -- non-cyclic connected inputs ----------------------------------------------
 # The Krylov chain of length d that `_cyclic_blocks` splits off leaves a
 # d x (n - d) coupling block; while that block was carried as a square
