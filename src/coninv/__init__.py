@@ -72,7 +72,6 @@ from .skewsum import (
     skew_block,
     skew_coninvolutory_sum,
     skew_sum_diag_pair,
-    skew_sum_hblock,
     skew_sum_jordan,
 )
 

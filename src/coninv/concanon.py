@@ -61,6 +61,14 @@ CLUSTER_TOL = 1e-5
 #: rank-decision floor (relative to the matrix scale) for the Weyr estimate
 WEYR_FLOOR = 1e-8
 
+#: random combinations ``solve_consimilarity`` draws, and the cond(S) it
+#: accepts at most
+CONSIM_TRIALS = 32
+CONSIM_COND_CAP = 1e8
+
+#: theta values ``coninvolutory_factor`` sweeps
+FACTOR_SWEEP = 16
+
 
 class ConCanonicalError(RuntimeError):
     """No structurally consistent candidate could be residual-verified.
@@ -273,9 +281,7 @@ def solve_consimilarity(
     b: Matrix,
     *,
     seed: int = DEFAULT_SEED,
-    trials: int = 32,
     tol: Tolerance = DEFAULT_TOL,
-    cond_cap: float = 1e8,
 ) -> Matrix | None:
     """Nonsingular S with A S = conj(S) B within tol, or None.
 
@@ -290,9 +296,10 @@ def solve_consimilarity(
     other within 2g.  Its basis then comes from one eigenvector and must
     pass the kernel's rank tolerance, each member scaled to unit Frobenius
     norm; every other block takes the kernel of a real operator of side
-    2 n n_j.  Each trial draws a seeded random real combination of every
-    block's basis, scales S_j to Frobenius norm sqrt(n_j) and keeps the
-    best-conditioned S below cond_cap, stopping early once cond(S) < 1e3.
+    2 n n_j.  Each of CONSIM_TRIALS trials draws a seeded random real
+    combination of every block's basis, scales S_j to Frobenius norm
+    sqrt(n_j) and keeps the best-conditioned S below CONSIM_COND_CAP,
+    stopping early once cond(S) < 1e3.
     The residual of that S is the final arbiter.
     """
     if a.n != b.n:
@@ -312,8 +319,8 @@ def solve_consimilarity(
             return None
         bases.append((stop - start, np.array(basis)))
     rng = np.random.default_rng(seed)
-    best, best_cond = None, cond_cap
-    for _ in range(trials):
+    best, best_cond = None, CONSIM_COND_CAP
+    for _ in range(CONSIM_TRIALS):
         cols = []
         for m, basis in bases:
             vec = rng.standard_normal(len(basis)) @ basis
@@ -681,18 +688,18 @@ def coninvolutory_factor(
     c: Matrix,
     *,
     tol: Tolerance = DEFAULT_TOL,
-    sweep: int = 16,
 ) -> Matrix:
     """Nonsingular S with conj(S)^{-1} S = C for coninvolutory C.
 
     S = e^{i theta} C + e^{-i theta} I satisfies conj(S) C = S identically;
-    the theta sweep only dodges the at-most-n singular choices.
+    the sweep over FACTOR_SWEEP values of theta only dodges the at-most-n
+    singular choices.
     """
     if not is_coninvolutory(c, tol):
         raise ValueError("input is not coninvolutory at the stated tolerance")
     arr = c.to_array()
     n = c.n
-    theta = np.pi * np.arange(1, sweep + 1) / (sweep + 1)
+    theta = np.pi * np.arange(1, FACTOR_SWEEP + 1) / (FACTOR_SWEEP + 1)
     stack = np.exp(1j * theta)[:, None, None] * arr + np.exp(-1j * theta)[:, None, None] * np.eye(n)
     conds = np.linalg.cond(stack)
     conds[~np.isfinite(conds)] = np.inf

@@ -2,14 +2,27 @@
 
 The real 2-by-2 skew-coninvolutory matrices are exactly the trace-0,
 determinant-1 matrices M(a, b) = [[a, b], [-(1+a^2)/b, -a]], b != 0
-(Cayley-Hamilton gives M^2 = -I).  The construction subtracts one block
-per consecutive diagonal pair of the canonical bidiagonal form, tuning
-(a, b) so the remainder has distinct real eigenvalues, then finishes with
-the displayed diagonal pairs.  A pair (lambda, lambda) with no Jordan
-coupling is "forbidden": every real skew block leaves remainder
-eigenvalues lambda +- i there, so such pairs route through a seeded
-randomized search and, as a last resort, a flagged 6-summand fallback
-that keeps the rotation part as one extra skew summand.
+(Cayley-Hamilton gives M^2 = -I).  Sums of skew-coninvolutory matrices
+push through consimilarity, so the sum trades A for the consimilar real
+B of ``consimilar_to_real`` and works on its two parts:
+
+* the real-pair chains of B (from the H-blocks of the canonical form):
+  each 2-by-2 window [[a, b], [-b, a]] takes M(0, q), which leaves the
+  window eigenvalues a +- delta; the chain's I_2 coupling keeps B - C block
+  upper triangular, so B - C is real-diagonalizable and the displayed
+  diagonal pairs finish it (1 + 4 summands);
+* the J-blocks of B: one skew block per consecutive diagonal pair of the
+  bidiagonal form, tuned so the remainder has distinct real eigenvalues,
+  then the diagonal pairs (4 summands when every block is 1-by-1, else
+  1 + 4).
+
+A pair (lambda, lambda) with no Jordan coupling is "forbidden": every real
+skew block leaves remainder eigenvalues lambda +- i there.  J_m(lambda) is
+consimilar to J_m(-lambda), so every second odd-size J-block of a value
+lambda != 0 is sign-flipped, and then the blocks are reordered.  What
+stays forbidden (in practice, windows where two odd J(0) blocks meet)
+routes through a seeded randomized search and, as a last resort, a flagged
+6-summand fallback that keeps the rotation part as one extra skew summand.
 
 The search evaluates its draws as stacked numpy calls in fixed chunks of
 8, 16, 32, 64 and 80 (`SEARCH_CHUNKS`, 200 draws in all), so an early
@@ -21,22 +34,14 @@ certificate before it returns.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, permutations, repeat
 
 import numpy as np
 
 from .certify import FLAG_NONOPTIMAL, KIND_SKEW_SUM, Decomposition, require_certificate
-from .concanon import (
-    ConCanonicalBlock,
-    build_block,
-    concanonical_form,
-    coninvolutory_factor,
-    jordan_block,
-    skew_base,
-    solve_consimilarity,
-    ConCanonicalError,
-)
+from .concanon import _diagonal_blocks, consimilar_to_real, skew_base
 from .conisum import consim_conjugate_list, diagonal_pair_summands, split_unimodular
 from .matcore import (
     DEFAULT_SEED,
@@ -125,18 +130,20 @@ def skew_sum_diag_pair(a, b) -> Decomposition:
 
 @dataclass(frozen=True)
 class PairSpec:
-    """One consecutive diagonal pair of the bidiagonal form: eps is the
-    coupling inside the pair, right_coupling the coupling to the next one.
+    """One 2-by-2 diagonal window [[lambda1, eps + rot], [-rot, lambda2]]:
+    a consecutive diagonal pair of the bidiagonal form (rot = 0), with eps
+    the coupling inside the pair, or a window [[a, b], [-b, a]] of a
+    real-pair chain (lambda1 = lambda2 = a, eps = 0, rot = b != 0).
     eps = 1 forces lambda1 = lambda2 (same Jordan block)."""
 
     lambda1: float
     lambda2: float
     eps: int
-    right_coupling: int = 0
+    rot: float = 0.0
 
     @property
     def forbidden(self) -> bool:
-        return self.eps == 0 and self.lambda1 == self.lambda2
+        return self.eps == 0 and self.rot == 0 and self.lambda1 == self.lambda2
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,8 @@ class SkewParams:
 
 
 def pair_discriminant(lambda1: float, lambda2: float, eps: int, a: float, b: float) -> float:
-    """Discriminant of the remainder block diag-pair minus M(a, b)."""
+    """Discriminant of the remainder block diag-pair minus M(a, b), for a
+    window of the bidiagonal form (rot = 0)."""
     if eps == 1:
         return 4.0 * ((1.0 + a * a) / b - 1.0)
     g = lambda1 - lambda2
@@ -162,8 +170,10 @@ def _separation_stream():
 
 def choose_pair_params(p: PairSpec, used: set[float]) -> tuple[SkewParams, tuple[float, float]]:
     """Parameters (a, b) whose remainder pair has two distinct real
-    eigenvalues mid +- s outside `used`; raises ValueError on forbidden
-    pairs and ParameterCapExceeded when a parameter would leave its cap."""
+    eigenvalues mid +- s outside `used`, s from the separation stream
+    (a = 0 on a coupled pair and on a real-pair window); raises ValueError
+    on forbidden pairs and ParameterCapExceeded when a parameter would
+    leave its cap."""
     if p.forbidden:
         raise ValueError("forbidden pair: equal values without coupling")
     mid = (p.lambda1 + p.lambda2) / 2.0
@@ -171,6 +181,14 @@ def choose_pair_params(p: PairSpec, used: set[float]) -> tuple[SkewParams, tuple
         nu = (mid - s, mid + s)
         if any(abs(v - u) < SEPARATION for v in nu for u in used):
             continue
+        if p.rot:
+            # the window minus M(0, q) has off-diagonal product
+            # (rot - q)(1/q - rot) = s^2 when rot q^2 - (1 + rot^2 + s^2) q
+            # + rot = 0; its roots q and 1/q give C the same norm, and this
+            # is the larger one, free of cancellation
+            r = p.rot
+            q = (1.0 + r * r + s * s + np.sqrt(((1.0 - r) ** 2 + s * s) * ((1.0 + r) ** 2 + s * s))) / (2.0 * r)
+            return SkewParams(a=0.0, b=float(q)), nu
         if p.eps == 1:
             a = 0.0
             b = 1.0 / (1.0 + s * s)
@@ -240,12 +258,7 @@ def _layout(blocks: list[tuple[float, int]]) -> tuple[list[float], list[int]]:
 
 
 def _pairs_of(lam: list[float], eps: list[int]) -> list[PairSpec]:
-    out = []
-    for k in range(len(lam) // 2):
-        intra = eps[2 * k] if 2 * k < len(eps) else 0
-        right = eps[2 * k + 1] if 2 * k + 1 < len(eps) else 0
-        out.append(PairSpec(lam[2 * k], lam[2 * k + 1], intra, right))
-    return out
+    return [PairSpec(lam[k], lam[k + 1], eps[k]) for k in range(0, len(lam), 2)]
 
 
 def _forbidden_count(blocks) -> int:
@@ -279,22 +292,6 @@ def _permutation_for(blocks, target) -> Matrix:
     return _block_permutation([s for _, s in blocks], order)
 
 
-def _case2_summands(
-    lam: list[float], eps: list[int], used: set[float]
-) -> tuple[list[Matrix], list[float]] | None:
-    """C-block parameters for every pair; returns (per-pair skew blocks,
-    predicted remainder eigenvalues) or None when a pair is forbidden."""
-    cblocks, predicted = [], []
-    for p in _pairs_of(lam, eps):
-        if p.forbidden:
-            return None
-        params, nu = choose_pair_params(p, used)
-        used.update(nu)
-        predicted.extend(nu)
-        cblocks.append(skew_block_matrix(params.a, params.b))
-    return cblocks, predicted
-
-
 def _real_spectrum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(1 + max|lambda|, max|Im lambda| <= 1e-8 (1 + max|lambda|)) over the
     last axis: one spectrum, or a stack of them."""
@@ -320,24 +317,63 @@ def _diagonalize_real(d: Matrix, cond_cap: float = 1e8) -> tuple[Matrix, list[fl
     return Matrix.floating(t), [float(v) for v in vals]
 
 
+def _sign_flipped(blocks: list[tuple[float, int]]) -> list[tuple[float, int]]:
+    """The blocks with every second odd-size block of each value
+    lambda != 0 replaced by J(-lambda): two odd blocks of one value meet
+    in a forbidden pair, a value and its negative never do."""
+    seen: Counter[float] = Counter()
+    out = []
+    for value, size in blocks:
+        if size % 2 and value != 0:
+            seen[value] += 1
+            if seen[value] % 2 == 0:
+                value = -value
+        out.append((value, size))
+    return out
+
+
+def _split_summands(c: Matrix, t: Matrix, values: list[float]) -> list[Matrix]:
+    """C + T diag(values) T^{-1} (T real) as C and the diagonal 4-sum."""
+    return [c] + consim_conjugate_list(t, skew_diag_summands(values))
+
+
+def _pair_split(a: Matrix, pairs: list[PairSpec]) -> tuple[list[Matrix], list[float]] | None:
+    """Five skew summands for a real A that is block upper triangular over
+    the 2-by-2 diagonal windows `pairs`: one skew block per window, tuned by
+    ``choose_pair_params`` so A - C has distinct real eigenvalues, then the
+    diagonal 4-sum of A - C.  Returns (summands, eigenvalues of A - C), or
+    None when a pair is forbidden or A - C is not real-diagonalizable."""
+    if any(p.forbidden for p in pairs):
+        return None
+    used: set[float] = set()
+    cblocks = []
+    for p in pairs:
+        params, nu = choose_pair_params(p, used)
+        used.update(nu)
+        cblocks.append(skew_block_matrix(params.a, params.b))
+    c = direct_sum(*cblocks)
+    diag = _diagonalize_real(a - c)
+    if diag is None:
+        return None
+    t, values = diag
+    return _split_summands(c, t, values), values
+
+
 def skew_sum_jordan(
     a: Matrix,
-    spec: list[PairSpec] | None = None,
     *,
     seed: int = DEFAULT_SEED,
     tol: Tolerance = DEFAULT_TOL,
 ) -> Decomposition:
     """Skew sum for a real direct sum of upper-bidiagonal Jordan-type
-    blocks (even size).  Strategy chain for forbidden pairs: reorder the
+    blocks (even size).  Strategy chain for forbidden pairs: sign-flip
+    every second odd-size block of each value lambda != 0 (J_m(lambda) is
+    consimilar to J_m(-lambda) through i diag(1, -1, 1, ...)), reorder the
     direct summands, then a seeded randomized search for a general real
     skew summand, then the flagged 6-summand fallback."""
     if a.n % 2:
         raise UnsupportedSize("even size required")
     lam, eps = _read_bidiagonal(a)
-    if spec is not None:
-        stated = _pairs_of(lam, eps)
-        if list(spec) != stated:
-            raise ValueError("pair spec disagrees with the matrix layout")
     log: list[dict] = []
 
     if all(e == 0 for e in eps):
@@ -346,38 +382,37 @@ def skew_sum_jordan(
         return Decomposition(KIND_SKEW_SUM, summands, log=log)
 
     blocks = _blocks_of(lam, eps)
-    ordered = _best_block_order(blocks)
-    if ordered != blocks:
-        perm = _permutation_for(blocks, ordered)
+    flipped = _sign_flipped(blocks)
+    phase = np.ones(a.n, dtype=complex)
+    if flipped != blocks:
+        offsets = np.cumsum([0] + [size for _, size in blocks])
+        for (value, size), (new, _), start in zip(blocks, flipped, offsets):
+            if new != value:
+                phase[start : start + size] = 1j * (-1.0) ** np.arange(size)
+        log.append({"step": "sign-flip", "blocks": [[v, s] for v, s in flipped]})
+    ordered = _best_block_order(flipped)
+    if ordered != flipped:
         log.append({"step": "block-reorder", "order": [[v, s] for v, s in ordered]})
-    else:
-        perm = Matrix.identity(a.n)
+    # U = diag(phase) P has one unimodular entry per row and column, so
+    # conj(U)^{-1} = U^T and U^T A U is the flipped, reordered layout
+    u = Matrix.diag(phase) @ _permutation_for(flipped, ordered)
     lam2, eps2 = _layout(ordered)
-    a2 = perm.transpose() @ a @ perm
+    a2 = u.transpose() @ a @ u
 
-    used: set[float] = set()
-    direct = _case2_summands(lam2, eps2, used)
-    if direct is not None:
-        cblocks, _ = direct
-        c = direct_sum(*cblocks)
-        diag = _diagonalize_real(a2 - c)
-        if diag is not None:
-            t, values = diag
-            inner = [c] + consim_conjugate_list(t, skew_diag_summands(values))
-            summands = consim_conjugate_list(perm, inner)
-            log.append({"step": "pair-split", "count": 5, "eigenvalues": values})
-            return Decomposition(KIND_SKEW_SUM, summands, log=log)
+    split = _pair_split(a2, _pairs_of(lam2, eps2))
+    if split is not None:
+        inner, values = split
+        log.append({"step": "pair-split", "count": 5, "eigenvalues": values})
+        return Decomposition(KIND_SKEW_SUM, consim_conjugate_list(u, inner), log=log)
 
     found = _random_search(a2, seed=seed, tol=tol)
     if found is not None:
         c, t, values, restarts = found
-        inner = [c] + consim_conjugate_list(t, skew_diag_summands(values))
-        summands = consim_conjugate_list(perm, inner)
+        summands = consim_conjugate_list(u, _split_summands(c, t, values))
         log.append({"step": "randomized-search", "restarts": restarts, "count": 5})
         return Decomposition(KIND_SKEW_SUM, summands, log=log)
 
-    inner = _rotation_fallback(a2, lam2, eps2)
-    summands = consim_conjugate_list(perm, inner)
+    summands = consim_conjugate_list(u, _rotation_fallback(a2, lam2, eps2))
     log.append({"step": "rotation-fallback", "count": len(summands), "restarts": SEARCH_DRAWS})
     return Decomposition(KIND_SKEW_SUM, summands, log=log, flags=[FLAG_NONOPTIMAL])
 
@@ -511,63 +546,6 @@ def _rotation_fallback(a: Matrix, lam: list[float], eps: list[int]) -> list[Matr
 
 
 # ---------------------------------------------------------------------------
-# H-blocks
-# ---------------------------------------------------------------------------
-
-
-def skew_sum_hblock(
-    m: int,
-    mu: complex,
-    *,
-    seed: int = DEFAULT_SEED,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Decomposition:
-    """Five skew summands for the paired block [[0, I], [J_m(mu), 0]].
-
-    The block minus [[0, I], [-I, 0]] is strictly lower triangular with
-    J_m(mu) + I in the corner; that part is taken to a real matrix by a
-    block-diagonal consimilarity, written as a sum of two coninvolutory
-    matrices, and each of those is factored through the identity, which
-    itself splits into two skew summands."""
-    ConCanonicalBlock("H", m, complex(mu))  # validates the (m, mu) constraints
-    k0 = skew_base(m)
-    log: list[dict] = [{"step": "h-block", "m": m, "mu": [complex(mu).real, complex(mu).imag]}]
-
-    corner = jordan_block(m, complex(mu) + 1)
-    if corner.is_zero(tol):
-        log.append({"step": "zero-corner", "count": 1})
-        return Decomposition(KIND_SKEW_SUM, [k0], log=log)
-
-    if corner.is_real(1e-14 * (1 + corner.max_abs())):
-        t = Matrix.identity(m)
-        target = corner.real_part()
-    else:
-        target = jordan_block(m, abs(complex(mu) + 1)).real_part()
-        t = solve_consimilarity(corner, target, seed=seed, tol=tol)
-        if t is None:
-            raise ConCanonicalError("no intertwiner onto the real corner block")
-    w = direct_sum(t, t)
-
-    n2 = 2 * m
-    zeros = np.zeros((m, m))
-    b_arr = target.to_array().real
-    k1 = Matrix.floating(np.block([[np.eye(m), zeros], [b_arr, -np.eye(m)]]))
-    k2 = Matrix.floating(np.block([[-np.eye(m), zeros], [zeros, np.eye(m)]]))
-
-    parts: list[Matrix] = []
-    # I as a sum of two skew summands: the identity pair of diag(1, ..., 1)
-    ident_pair = skew_diag_summands([1.0] * n2)[2:]
-    for k in (k1, k2):
-        s = coninvolutory_factor(k, tol=tol)
-        s_bar_inv = s.conj().inverse()
-        for half_summand in ident_pair:
-            parts.append(s_bar_inv @ half_summand @ s)
-    summands = [k0] + consim_conjugate_list(w, parts)
-    log.append({"step": "corner-split", "count": 5})
-    return Decomposition(KIND_SKEW_SUM, summands, log=log)
-
-
-# ---------------------------------------------------------------------------
 # the full skew pipeline
 # ---------------------------------------------------------------------------
 
@@ -593,7 +571,8 @@ def skew_coninvolutory_sum(
     pad_to: int | None = None,
 ) -> Decomposition:
     """At most 5 skew-coninvolutory summands for an even-size complex
-    matrix (6 with the nonoptimal_count flag on forbidden configurations).
+    matrix (6 with the nonoptimal_count flag when a forbidden pair defeats
+    the randomized search).
     The sum checks its certificate before padding and raises
     ConvergenceFailure on a miss."""
     if a.n % 2:
@@ -605,49 +584,38 @@ def skew_coninvolutory_sum(
         k = direct_sum(*[skew_base(1) for _ in range(a.n // 2)])
         return _finish_skew(a, [k, -k], [{"step": "zero-input", "count": 2}], [], tol, pad_to)
 
-    form = concanonical_form(a, seed=seed, tol=tol)
-    log.append(
-        {
-            "step": "concanonical",
-            "blocks": [[b.kind, b.size, complex(b.param).real, complex(b.param).imag] for b in form.blocks],
-        }
-    )
+    s, b = consimilar_to_real(a, seed=seed, tol=tol)
+    log.append({"step": "consimilar-to-real", "n": a.n, "cond_S": float(np.linalg.cond(s.to_array()))})
 
-    # parts follow the block order of the canonical form: H-blocks are
-    # individual parts, the J-blocks fuse into one bidiagonal part
-    parts: list[tuple[list[Matrix], list[str]]] = []
-    j_run: list[ConCanonicalBlock] = []
+    # two parts, each split on its own: the real-pair chains (a 2-by-2
+    # block with a nonzero lower entry leads each) and the J-blocks
+    bb = b.to_array().real
+    chains: list[int] = []
+    jordan: list[int] = []
+    for start, stop in _diagonal_blocks(bb):
+        (chains if stop - start > 1 and bb[start + 1, start] != 0 else jordan).extend(range(start, stop))
+    parts: list[tuple[list[int], list[Matrix]]] = []
+    flags: list[str] = []
+    if chains:
+        bc = bb[np.ix_(chains, chains)]
+        windows = [PairSpec(bc[k, k], bc[k + 1, k + 1], 0, rot=bc[k, k + 1]) for k in range(0, len(chains), 2)]
+        split = _pair_split(Matrix.floating(bc), windows)
+        if split is None:
+            raise ConvergenceFailure("the real-pair chains leave a remainder that is not real-diagonalizable")
+        parts.append((chains, split[0]))
+        log.append({"step": "chain-split", "count": 5, "eigenvalues": split[1]})
+    if jordan:
+        d = skew_sum_jordan(Matrix.floating(bb[np.ix_(jordan, jordan)]), seed=seed, tol=tol)
+        parts.append((jordan, d.summands))
+        log.extend(d.log)
+        flags = d.flags
 
-    def flush_j():
-        if not j_run:
-            return
-        jmat = direct_sum(*[build_block(b) for b in j_run])
-        if jmat.n % 2:
-            raise UnsupportedSize("odd-size Jordan part in an even matrix")
-        if all(b.size == 1 for b in j_run):
-            lam = [float(complex(b.param).real) for b in j_run]
-            parts.append((skew_diag_summands(lam), []))
-        else:
-            d = skew_sum_jordan(jmat, seed=seed, tol=tol)
-            log.extend(d.log)
-            parts.append((d.summands, d.flags))
-        j_run.clear()
-
-    for b in form.blocks:
-        if b.kind == "J":
-            j_run.append(b)
-        else:
-            flush_j()
-            d = skew_sum_hblock(b.size, b.param, seed=seed, tol=tol)
-            log.extend(d.log)
-            parts.append((d.summands, d.flags))
-    flush_j()
-
-    flags = sorted({f for _, fl in parts for f in fl})
-    target = max(len(s) for s, _ in parts)
-    padded = [_pad_part(s, target, s[0].n) for s, _ in parts]
-    inner = [direct_sum(*[p[j] for p in padded]) for j in range(target)]
-    summands = consim_conjugate_list(form.S, inner)
+    target = max(len(ks) for _, ks in parts)
+    inner = np.zeros((target, a.n, a.n), dtype=complex)
+    for idx, ks in parts:
+        for slot, k in zip(inner, _pad_part(ks, target, len(idx))):
+            slot[np.ix_(idx, idx)] = k.to_array()
+    summands = consim_conjugate_list(s, [Matrix.floating(k) for k in inner])
     return _finish_skew(a, summands, log, flags, tol, pad_to)
 
 

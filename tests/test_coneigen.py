@@ -141,7 +141,7 @@ def test_sweep_is_bit_identical_to_the_loop(rng):
     cs = []
     for n in range(2, 9):
         cs += [random_coninvolutory(rng, n) for _ in range(10)]
-    for m in range(1, 5):  # the shapes skew_sum_hblock factors
+    for m in range(1, 5):  # involutory blocks with eigenvalues 1 and -1 equally often
         corner = rng.standard_normal((m, m))
         eye, zeros = np.eye(m), np.zeros((m, m))
         cs.append(Matrix.floating(np.block([[eye, zeros], [corner, -eye]])))

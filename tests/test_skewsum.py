@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coninv import (
     Matrix,
@@ -16,14 +18,13 @@ from coninv import (
     skew_block,
     skew_coninvolutory_sum,
     skew_sum_diag_pair,
-    skew_sum_hblock,
     skew_sum_jordan,
     verify_decomposition,
 )
 from coninv import skewsum
 from coninv.certify import FLAG_NONOPTIMAL, decomposition_from_json, decomposition_to_json
-from coninv.concanon import ConCanonicalBlock, build_block
-from coninv.matcore import ConvergenceFailure, UnsupportedSize, matrix_from_json
+from coninv.concanon import ConCanonicalBlock, ConCanonicalError, build_block
+from coninv.matcore import ConvergenceFailure, MatrixError, UnsupportedSize, matrix_from_json
 from coninv.skewsum import ParameterCapExceeded, skew_identity_pair, skew_traceless_pair
 
 import gaussq
@@ -123,6 +124,16 @@ class TestPairParams:
         with pytest.raises(ValueError):
             choose_pair_params(PairSpec(2.0, 2.0, 0), set())
 
+    @pytest.mark.parametrize("rot", [0.3, -1.0, 2.5])
+    def test_real_pair_window_choice(self, rot):
+        used = {1.0 - 1.1, 1.0 + 1.1}
+        params, nu = choose_pair_params(PairSpec(1.0, 1.0, 0, rot=rot), set(used))
+        assert params.a == 0.0
+        assert nu == pytest.approx((1.0 - 1.6, 1.0 + 1.6))
+        # oracle: the window [[1, rot], [-rot, 1]] minus M(0, q)
+        rem = np.array([[1.0, rot], [-rot, 1.0]]) - np.array(skew_block(0.0, params.b))
+        assert sorted(np.linalg.eigvals(rem).real) == pytest.approx(sorted(nu), abs=1e-9)
+
     def test_close_pair_is_a_typed_numerical_failure(self):
         with pytest.raises(ParameterCapExceeded, match=r"pair values 1, 1 too close.*cap 1000"):
             choose_pair_params(PairSpec(1.0, 1.0 + 1e-7, 0), set())
@@ -157,11 +168,6 @@ class TestJordanRoute:
         assert decomposition_from_json(wire).log[-1]["restarts"] == 200
         assert verify_decomposition(a, d).passed
 
-    def test_spec_mismatch_rejected(self):
-        a = jordan_block(2, 3.0)
-        with pytest.raises(ValueError):
-            skew_sum_jordan(a, [PairSpec(3.0, 3.0, 0)])
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             skew_sum_jordan(Matrix.floating([[1, 0.5], [0, 1]]))  # coupling not 0/1
@@ -172,22 +178,27 @@ class TestJordanRoute:
 
 
 class TestHBlock:
+    """H-blocks reach the skew sum as real-pair chains of consimilar_to_real."""
+
     def test_zero_corner(self):
-        d = skew_sum_hblock(1, -1.0)
-        assert d.count == 1
+        # H_1(-1) is itself skew-coninvolutory; the chain split writes it as
+        # a sum of five like any other real pair
         a = build_block(ConCanonicalBlock("H", 1, -1.0))
+        d = skew_coninvolutory_sum(a)
+        assert d.count <= 5 and not d.flags
         assert verify_decomposition(a, d).passed
 
     def test_negative_real(self):
-        d = skew_sum_hblock(1, -2.0)
-        assert d.count == 5
         a = build_block(ConCanonicalBlock("H", 1, -2.0))
+        d = skew_coninvolutory_sum(a)
+        assert d.count == 5
+        assert any(e["step"] == "chain-split" for e in d.log)
         assert verify_decomposition(a, d).passed
 
     def test_complex_mu_m2(self):
-        d = skew_sum_hblock(2, 1j)
-        assert d.count == 5
         a = build_block(ConCanonicalBlock("H", 2, 1j))
+        d = skew_coninvolutory_sum(a)
+        assert d.count == 5
         assert verify_decomposition(a, d).passed
 
 
@@ -234,6 +245,90 @@ class TestSkewSum:
                 d = skew_coninvolutory_sum(a)
                 assert d.count <= 5 and not d.flags
                 assert verify_decomposition(a, d).passed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaled_large_gaussians(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (4, 6, 8):
+            a = random_complex(rng, n, scale=1e3)
+            d = skew_coninvolutory_sum(a)
+            assert d.count <= 5 and not d.flags
+            assert verify_decomposition(a, d).passed
+
+
+def hidden(rng, b):
+    """T^{-1} B T for a real T with cond(T) <= 10: a consimilarity, as
+    conj(T) = T."""
+    n = b.n
+    while True:
+        t = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        if np.linalg.cond(t) <= 10:
+            return Matrix.floating(np.linalg.solve(t, b.to_array()) @ t)
+
+
+class TestForbiddenPairs:
+    @pytest.mark.parametrize("hide", [False, True])
+    @pytest.mark.parametrize("sizes", [(3, 3), (3, 3, 2)])
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_equal_odd_blocks_sign_flip(self, rng, lam, sizes, hide):
+        # J_3(lam) + J_3(lam) meet in a forbidden pair in every order;
+        # J_3(lam) + J_3(-lam) never do
+        a = direct_sum(*[jordan_block(m, lam) for m in sizes])
+        if hide:
+            a = hidden(rng, a)
+        d = skew_coninvolutory_sum(a)
+        assert d.count == 5 and not d.flags
+        (flip,) = [e for e in d.log if e["step"] == "sign-flip"]
+        assert sorted(s for v, s in flip["blocks"] if v < 0) == [3]
+        assert verify_decomposition(a, d).passed
+
+    def test_odd_zero_blocks_still_fall_back(self):
+        a = direct_sum(jordan_block(2, 0.0), jordan_block(1, 0.0), jordan_block(1, 0.0))
+        d = skew_coninvolutory_sum(a)
+        assert FLAG_NONOPTIMAL in d.flags and d.count == 6
+        assert any(e["step"] == "rotation-fallback" for e in d.log)
+        assert verify_decomposition(a, d).passed
+
+
+#: parameters of the property below: J-blocks take lambda >= 0, H-blocks
+#: a negative real or a non-real mu
+LAMBDAS = [0.0, 0.5, 1.0, 2.0]
+MUS = [-1.0, -2.0, 1j, complex(-0.5, 1.0), complex(2.0, 0.5)]
+
+
+@st.composite
+def hidden_canonical(draw):
+    """A direct sum of J(lambda) and H(mu) blocks of even size n in 4..8,
+    hidden by a complex consimilarity with cond <= 10."""
+    n = 2 * draw(st.integers(2, 4))
+    blocks = []
+    while sum(b.dim for b in blocks) < n:
+        room = n - sum(b.dim for b in blocks)
+        if room >= 2 and draw(st.booleans()):
+            blocks.append(ConCanonicalBlock("H", draw(st.integers(1, min(2, room // 2))), draw(st.sampled_from(MUS))))
+        else:
+            blocks.append(ConCanonicalBlock("J", draw(st.integers(1, min(3, room))), draw(st.sampled_from(LAMBDAS))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        t = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        if np.linalg.cond(t) <= 10:
+            break
+    b = direct_sum(*[build_block(blk) for blk in blocks]).to_array()
+    return blocks, Matrix.floating(np.linalg.solve(np.conj(t), b) @ t)
+
+
+@settings(max_examples=100)
+@given(case=hidden_canonical())
+def test_hidden_canonical_sums(case):
+    blocks, a = case
+    try:
+        d = skew_coninvolutory_sum(a)  # checks its certificate before returning
+    except (MatrixError, ConCanonicalError):
+        return  # a typed error that says why
+    assert verify_decomposition(a, d).passed
+    odd_zero = sum(1 for blk in blocks if blk.kind == "J" and blk.param == 0 and blk.size % 2)
+    if odd_zero < 2:
+        assert d.count <= 5 and not d.flags
 
 
 class TestCertificateCheck:
