@@ -10,7 +10,9 @@ The solver here recovers the block multiset from the Jordan structure of
 conj(A) A (eigenvalue clustering at a stated tolerance), assembles each
 structurally consistent candidate, and lets a residual-verified
 intertwiner arbitrate, so every returned form is certified and failures
-are explicit.
+are explicit.  consimilar_to_real reads the same candidates onto real
+targets, H_m(mu) as the real chain of (sqrt(mu), conj sqrt(mu)): one
+verified solve per candidate gives both the reading and S.
 
 One eigendecomposition of conj(A) A serves a whole form: its eigenvalues
 give the candidates, and its eigenvectors give each diagonal block of a
@@ -161,16 +163,18 @@ def skew_base(n_half: int, pathway: str = "floating") -> Matrix:
 
 def _consim_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Real 2nm x 2nm matrix of S -> A S - conj(S) B on (Re S, Im S), for
-    n-by-n A, m-by-m B and an n-by-m unknown S (row-major), where the map
-    is s -> L s - R conj(s) with L = kron(A, I_m) and R = kron(I_n, B^T)."""
-    left = np.kron(a, np.eye(b.shape[0]))
-    right = np.kron(np.eye(a.shape[0]), b.T)
-    return np.block(
-        [
-            [left.real - right.real, -left.imag - right.imag],
-            [left.imag - right.imag, left.real + right.real],
-        ]
-    )
+    n-by-n A, m-by-m B and an n-by-m unknown S (row-major): s -> L s - R conj(s)
+    with L = kron(A, I_m), R = kron(I_n, B^T), as broadcast products (no np.kron)."""
+    n, m = a.shape[0], b.shape[0]
+    k = n * m
+    left = (a[:, None, :, None] * np.eye(m)[None, :, None, :]).reshape(k, k)
+    right = (np.eye(n)[:, None, :, None] * b.T[None, :, None, :]).reshape(k, k)
+    op = np.empty((2 * k, 2 * k))
+    op[:k, :k] = left.real - right.real
+    op[:k, k:] = -left.imag - right.imag
+    op[k:, :k] = left.imag - right.imag
+    op[k:, k:] = left.real + right.real
+    return op
 
 
 def _diagonal_blocks(b: np.ndarray) -> list[tuple[int, int]]:
@@ -186,18 +190,17 @@ def _diagonal_blocks(b: np.ndarray) -> list[tuple[int, int]]:
 #: why the latest solve_consimilarity call in this context returned None:
 #: "empty kernel", "singular" or the residual of its best transform.  Kept
 #: beside the return value, which stays S or None for every caller;
-#: concanonical_form reads it to say why each candidate was refused.
+#: _read_blocks reads it to say why each candidate was refused.
 _failure: ContextVar[str | float | None] = ContextVar("consimilarity_failure", default=None)
 
 #: (A, eigenvalues and eigenvectors of conj(A) A, ||A||_2) of the
-#: concanonical_form call in progress, shared with the candidate solves it
-#: makes
+#: candidate reading in progress, shared with the candidate solves it makes
 _shared_spectral: ContextVar[tuple | None] = ContextVar("spectral", default=None)
 
 
 def _spectral(aa: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues and unit eigenvectors of conj(A) A, and ||A||_2: the
-    ones of the canonical form in progress when it is of this A, else
+    ones of the candidate reading in progress when it is of this A, else
     computed here."""
     shared = _shared_spectral.get()
     if shared is not None and np.array_equal(shared[0], aa):
@@ -578,22 +581,10 @@ def _summary(tried: list[tuple[list[ConCanonicalBlock], str | float]]) -> str:
     return text + (f", best residual {min(residuals):.3g}" if residuals else "")
 
 
-def concanonical_form(
-    a: Matrix,
-    *,
-    seed: int = DEFAULT_SEED,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ConCanonicalForm:
-    """Consimilarity canonical form with a residual-verified transform.
-
-    Candidate block assignments are tried in order of how well their
-    structural rank matches the numerical rank of A; the first candidate
-    admitting a nonsingular intertwiner wins.
-    """
-    if a.pathway != "floating":
-        raise PathwayMismatch("concanonical_form requires the floating pathway")
-    if a.n > DESK_SCALE:
-        raise UnsupportedSize(f"n={a.n} exceeds desk-scale bound {DESK_SCALE}")
+def _read_blocks(a: Matrix, block_target, seed: int, tol: Tolerance) -> tuple[list[ConCanonicalBlock], Matrix, Matrix]:
+    """(blocks, S, target) for the first candidate block assignment of A
+    whose target, the direct sum of block_target(b) over its blocks, admits
+    a residual-verified intertwiner S from solve_consimilarity."""
     arr = a.to_array()
     m = np.conj(arr) @ arr
     rank_a = numerical_rank(arr)
@@ -612,8 +603,6 @@ def concanonical_form(
             except ConCanonicalError:
                 continue
             for blocks in candidates:
-                if sum(b.dim for b in blocks) != a.n:
-                    continue
                 key = tuple(
                     (b.kind, b.size, round(complex(b.param).real, 9), round(complex(b.param).imag, 9))
                     for b in blocks
@@ -621,14 +610,34 @@ def concanonical_form(
                 if key in seen:
                     continue
                 seen.add(key)
-                target = direct_sum(*[build_block(b) for b in blocks]) if blocks else Matrix.zeros(a.n)
+                target = direct_sum(*[block_target(b) for b in blocks]) if blocks else Matrix.zeros(a.n)
                 s = solve_consimilarity(a, target, seed=seed, tol=tol)
                 if s is not None:
-                    return ConCanonicalForm(blocks=blocks, S=s)
+                    return blocks, s, target
                 tried.append((blocks, _failure.get()))
     finally:
         _shared_spectral.reset(token)
     raise ConCanonicalError(f"no candidate block assignment verified ({_summary(tried)})", tried=tried)
+
+
+def concanonical_form(
+    a: Matrix,
+    *,
+    seed: int = DEFAULT_SEED,
+    tol: Tolerance = DEFAULT_TOL,
+) -> ConCanonicalForm:
+    """Consimilarity canonical form with a residual-verified transform.
+
+    Candidate block assignments are tried in order of how well their
+    structural rank matches the numerical rank of A; the first candidate
+    admitting a nonsingular intertwiner wins.
+    """
+    if a.pathway != "floating":
+        raise PathwayMismatch("concanonical_form requires the floating pathway")
+    if a.n > DESK_SCALE:
+        raise UnsupportedSize(f"n={a.n} exceeds desk-scale bound {DESK_SCALE}")
+    blocks, s, _ = _read_blocks(a, build_block, seed, tol)
+    return ConCanonicalForm(blocks=blocks, S=s)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +656,13 @@ def _real_pair_block(m: int, z: complex) -> Matrix:
     return Matrix.floating(arr)
 
 
+def _real_block(b: ConCanonicalBlock) -> Matrix:
+    """J_m(lambda), or the real chain of (sqrt(mu), conj sqrt(mu)) for H_m(mu)."""
+    if b.kind == "J":
+        return build_block(b)
+    return _real_pair_block(b.size, complex(np.sqrt(complex(b.param))))
+
+
 def consimilar_to_real(
     a: Matrix,
     *,
@@ -655,33 +671,17 @@ def consimilar_to_real(
 ) -> tuple[Matrix, Matrix]:
     """(S, B) with B real and A S = conj(S) B within tol.
 
-    Real and complex inputs alike go through the canonical form, so B is
-    always block-diagonal: each J-block is kept, and each H-block is traded
-    for the real block of the conjugate pair (sqrt(mu), conj sqrt(mu)),
-    with the per-block intertwiners composed with the canonical transform.
+    A is read like concanonical_form reads it, and each candidate is solved
+    straight onto a block-diagonal real target: J_m(lambda) stays, and
+    H_m(mu) becomes the real chain of (sqrt(mu), conj sqrt(mu)) (Hong and
+    Horn, LAA 102, 1988).  S is that one verified solve: ||S||_F = sqrt(n).
     """
     if a.pathway != "floating":
         raise PathwayMismatch("consimilar_to_real requires the floating pathway")
-    form = concanonical_form(a, seed=seed, tol=tol)
-    targets, transforms = [], []
-    for b in form.blocks:
-        bm = build_block(b)
-        if b.kind == "J":
-            targets.append(bm)
-            transforms.append(Matrix.identity(bm.n))
-            continue
-        z = complex(np.sqrt(complex(b.param)))
-        target = _real_pair_block(b.size, z)
-        t = solve_consimilarity(bm, target, seed=seed, tol=tol)
-        if t is None:
-            raise ConCanonicalError(f"no intertwiner onto the real block for {b}")
-        targets.append(target)
-        transforms.append(t)
-    breal = direct_sum(*targets)
-    s = form.S @ direct_sum(*transforms)
-    arr = s.to_array()
-    s = Matrix.floating(arr * (np.sqrt(a.n) / np.linalg.norm(arr, "fro")))
-    return s, breal.real_part()
+    if a.n > DESK_SCALE:
+        raise UnsupportedSize(f"n={a.n} exceeds desk-scale bound {DESK_SCALE}")
+    _, s, target = _read_blocks(a, _real_block, seed, tol)
+    return s, target.real_part()
 
 
 def coninvolutory_factor(

@@ -17,8 +17,8 @@ from coninv import (
     skew_base,
     solve_consimilarity,
 )
-from coninv.concanon import _diagonal_blocks, _implied_zero_sizes, _partitions
-from coninv.matcore import DEFAULT_TOL, Tolerance
+from coninv.concanon import _consim_operator, _diagonal_blocks, _implied_zero_sizes, _partitions, _real_pair_block
+from coninv.matcore import DEFAULT_TOL, PathwayMismatch, Tolerance, UnsupportedSize
 
 from conftest import random_complex, random_coninvolutory, well_conditioned
 
@@ -73,6 +73,26 @@ class TestSolveConsimilarity:
         val = complex(s[0, 0])
         assert abs(val * val / abs(val) ** 2 + 1j) < 1e-10
         assert abs(a[0, 0] * val - np.conj(val) * 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (4, 1), (4, 2), (7, 3), (16, 2)])
+    def test_operator_matches_kron(self, rng, n, m):
+        # the operator is built without np.kron / np.block, bit for bit,
+        # signed zeros included
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        a[0, 0], b[0, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+        for block in (b, b.real.astype(complex), np.zeros((m, m), dtype=complex)):
+            left, right = np.kron(a, np.eye(m)), np.kron(np.eye(n), block.T)
+            expect = np.block(
+                [
+                    [left.real - right.real, -left.imag - right.imag],
+                    [left.imag - right.imag, left.real + right.real],
+                ]
+            )
+            got = _consim_operator(a, block)
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got, expect)
+            assert np.array_equal(np.signbit(got), np.signbit(expect))
 
     def test_modulus_obstruction(self):
         # |a| is a consimilarity invariant for 1x1
@@ -234,6 +254,91 @@ class TestConsimilarToReal:
             assert (a @ s - s.conj() @ b).frobenius_norm() <= 1e-9 * (1 + a.frobenius_norm())
             derived = s.conj().inverse() @ a @ s
             assert float(np.max(np.abs(derived.to_array().imag))) <= 1e-10
+
+
+def _hidden(rng, *blocks):
+    target = direct_sum(*blocks)
+    t = well_conditioned(rng, target.n)
+    return t.conj().inverse() @ target @ t
+
+
+ONE_SOLVE_INPUTS = [
+    pytest.param(lambda rng: _hidden(rng, build_block(ConCanonicalBlock("H", 1, 1 + 2j))), id="H1-complex-mu"),
+    pytest.param(lambda rng: _hidden(rng, build_block(ConCanonicalBlock("H", 1, -2.0))), id="H1-negative-mu"),
+    pytest.param(lambda rng: _hidden(rng, build_block(ConCanonicalBlock("H", 2, 0.5 + 1j))), id="H2-complex-mu"),
+    pytest.param(lambda rng: _hidden(rng, build_block(ConCanonicalBlock("H", 2, -1.5))), id="H2-negative-mu"),
+    pytest.param(
+        lambda rng: _hidden(rng, jordan_block(2, 1.5), build_block(ConCanonicalBlock("H", 1, 1j))), id="J2+H1"
+    ),
+    pytest.param(
+        lambda rng: _hidden(
+            rng,
+            jordan_block(1, 0.7),
+            jordan_block(2, 0.0),
+            build_block(ConCanonicalBlock("H", 1, -0.5)),
+            build_block(ConCanonicalBlock("H", 1, 2 - 1j)),
+        ),
+        id="J1+J2(0)+H1+H1",
+    ),
+    pytest.param(lambda rng: random_complex(rng, 8), id="gaussian-n8"),
+]
+
+
+class TestConsimilarToRealOneSolve:
+    """consimilar_to_real reads the candidates of concanonical_form and
+    solves A straight onto the real target, H_m(mu) as the real chain of
+    sqrt(mu)."""
+
+    @pytest.mark.parametrize("make", ONE_SOLVE_INPUTS)
+    def test_blocks_residual_and_norm(self, rng, make):
+        a = make(rng)
+        form = concanonical_form(a)
+        s, b = consimilar_to_real(a)
+        expect = direct_sum(
+            *[
+                build_block(blk) if blk.kind == "J" else _real_pair_block(blk.size, complex(np.sqrt(blk.param)))
+                for blk in form.blocks
+            ]
+        )
+        assert b.is_real(0.0)
+        assert np.array_equal(b.to_array(), expect.to_array().real)
+        res = (a @ s - s.conj() @ b).frobenius_norm()
+        assert res <= DEFAULT_TOL.bound(a.frobenius_norm()) * np.sqrt(a.n)
+        assert s.frobenius_norm() == pytest.approx(np.sqrt(a.n), rel=1e-12)
+
+    @pytest.mark.parametrize("make", ONE_SOLVE_INPUTS)
+    def test_one_solve_per_candidate(self, rng, monkeypatch, make):
+        a = make(rng)
+        solve = concanon.solve_consimilarity
+        calls = []
+
+        def recording_solve(x, target, **kwargs):
+            calls.append((x, target))
+            return solve(x, target, **kwargs)
+
+        monkeypatch.setattr(concanon, "solve_consimilarity", recording_solve)
+        s, b = consimilar_to_real(a)
+        # every solve is of A itself, never of an H-block onto its chain,
+        # and no candidate target is solved twice
+        assert calls and all(x is a for x, _ in calls)
+        targets = [t.to_array() for _, t in calls]
+        assert all(not np.array_equal(t, u) for i, t in enumerate(targets) for u in targets[:i])
+        assert np.array_equal(targets[-1].real, b.to_array())
+        calls.clear()
+        with pytest.raises(ConCanonicalError) as info:
+            consimilar_to_real(a, tol=Tolerance(0.0, 0.0))
+        assert len(calls) == len(info.value.tried) > 0
+
+    def test_guards_come_before_the_reader(self, monkeypatch):
+        def refuse_reader(*args, **kwargs):
+            raise AssertionError("the candidate reader ran")
+
+        monkeypatch.setattr(concanon, "_read_blocks", refuse_reader)
+        for entry in (consimilar_to_real, concanonical_form):
+            with pytest.raises(PathwayMismatch, match=entry.__name__):
+                entry(Matrix.exact([[F(1), F(2)], [F(3), F(4)]]))
+            with pytest.raises(UnsupportedSize):
+                entry(Matrix.floating(np.eye(17)))
 
 
 class TestConinvolutoryFactor:

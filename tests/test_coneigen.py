@@ -90,8 +90,8 @@ class TestClosedForms:
         assert_intertwines(a, b, solve_consimilarity(a, b))
 
     def test_h_to_real_pair(self):
-        # conj(A)A = diag(i, -i): the form reads H_1(i), and the 2 x 2
-        # H -> real-pair solve of consimilar_to_real is closed-form too
+        # conj(A)A = diag(i, -i): the form reads H_1(i), and the solve of A
+        # straight onto its real pair is closed-form too
         a = Matrix.floating([[0, 1], [1j, 0]])
         s, b = consimilar_to_real(a)
         x = b.to_array()
