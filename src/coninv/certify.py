@@ -20,9 +20,6 @@ KIND_SKEW_SUM = "skew-sum"
 KIND_INV_DIAG = "thm1a"
 KIND_CONINV_CONDIAG = "thm1b"
 
-#: flag set by the skew pipeline when it could not hold the 5-summand bound
-FLAG_NONOPTIMAL = "nonoptimal_count"
-
 
 @dataclass
 class Decomposition:
@@ -74,11 +71,11 @@ def is_skew_coninvolutory(k: Matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     return skew_coninvolutory_residual(k) <= tol.bound(k.frobenius_norm() ** 2)
 
 
-def count_bound(kind: str, n: int, flags: list[str]) -> int:
+def count_bound(kind: str, n: int) -> int:
     if kind == KIND_CONINV_SUM:
         return 4 if n == 2 else 5
     if kind == KIND_SKEW_SUM:
-        return 6 if FLAG_NONOPTIMAL in flags else 5
+        return 5
     if kind in (KIND_INV_DIAG, KIND_CONINV_CONDIAG):
         return 2
     raise ValueError(f"unknown decomposition kind {kind!r}")
@@ -113,7 +110,7 @@ def verify_decomposition(a: Matrix, d: Decomposition, tol: Tolerance = DEFAULT_T
     for k, r in zip(d.summands, residuals):
         if r > tol.bound(k.frobenius_norm() ** 2):
             ok = False
-    if d.count > count_bound(d.kind, a.n, d.flags):
+    if d.count > count_bound(d.kind, a.n):
         ok = False
     return Certificate(
         kind=d.kind,

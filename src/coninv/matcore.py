@@ -497,18 +497,6 @@ def direct_sum(*mats: Matrix) -> Matrix:
     return Matrix(n, "floating", arr)
 
 
-def _block_permutation(sizes: Sequence[int], order: Sequence[int]) -> Matrix:
-    """Floating permutation P with P^{-1} (direct sum of blocks) P equal to
-    the direct sum of the same blocks taken in `order`; `sizes` are the
-    block sizes in their current order."""
-    offsets = np.cumsum([0, *sizes]).tolist()
-    cols = [c for i in order for c in range(offsets[i], offsets[i] + sizes[i])]
-    n = offsets[-1]
-    p = np.zeros((n, n))
-    p[cols, range(n)] = 1.0
-    return Matrix.floating(p)
-
-
 def close(a: Matrix, b: Matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Frobenius-norm closeness at tol.bound(||b||_F)."""
     return (a - b).frobenius_norm() <= tol.bound(b.frobenius_norm())

@@ -11,36 +11,33 @@ B of ``consimilar_to_real`` and works on its two parts:
   window eigenvalues a +- delta; the chain's I_2 coupling keeps B - C block
   upper triangular, so B - C is real-diagonalizable and the displayed
   diagonal pairs finish it (1 + 4 summands);
-* the J-blocks of B: one skew block per consecutive diagonal pair of the
-  bidiagonal form, tuned so the remainder has distinct real eigenvalues,
-  then the diagonal pairs (4 summands when every block is 1-by-1, else
-  1 + 4).
+* the J-blocks of B (``skew_sum_jordan``): the 1-by-1 blocks, an even
+  number of them, take the displayed diagonal pairs alone (4 summands).
+  The other blocks go even-size first, then the odd-size blocks in
+  consecutive pairs, the larger of each pair first, and are tiled by
+  diagonal windows.  One skew block per window leaves distinct real
+  eigenvalues in B - C, which is block upper triangular over the windows,
+  and the diagonal pairs of B - C finish it (1 + 4).
 
-A pair (lambda, lambda) with no Jordan coupling is "forbidden": every real
-skew block leaves remainder eigenvalues lambda +- i there.  J_m(lambda) is
-consimilar to J_m(-lambda), so every second odd-size J-block of a value
-lambda != 0 is sign-flipped, and then the blocks are reordered.  What
-stays forbidden (in practice, windows where two odd J(0) blocks meet)
-routes through a seeded randomized search and, as a last resort, a flagged
-6-summand fallback that keeps the rotation part as one extra skew summand.
-
-The search evaluates its draws as stacked numpy calls in fixed chunks of
-8, 16, 32, 64 and 80 (`SEARCH_CHUNKS`, 200 draws in all), so an early
-success stays cheap and a failed search costs five rounds of LAPACK calls
-instead of two hundred.  Its outcome is identical, bit for bit, to
-evaluating the same seeded draws one at a time.  Every sum checks its
-certificate before it returns.
+A 2-by-2 window (lambda, lambda) with no Jordan coupling is "forbidden":
+every real skew block leaves lambda +- i there.  J_m(lambda) is consimilar
+to J_m(-lambda), so every second odd-size block of a value lambda != 0 is
+sign-flipped first.  Where two odd blocks of one value still meet, the
+window straddling them is 4-by-4: the last three diagonal entries of the
+first block and the first of the second, lambda I_4 + E_01 + E_12, take
+the closed-form C_4 of ``straddle_block``, which leaves lambda +- u and
+lambda +- v.  The route draws no random numbers, returns at most 5
+summands on every input, and checks its certificate before it returns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, permutations, repeat
 
 import numpy as np
 
-from .certify import FLAG_NONOPTIMAL, KIND_SKEW_SUM, Decomposition, require_certificate
+from .certify import KIND_SKEW_SUM, Decomposition, require_certificate
 from .concanon import _diagonal_blocks, consimilar_to_real, skew_base
 from .conisum import consim_conjugate_list, diagonal_pair_summands, split_unimodular
 from .matcore import (
@@ -50,7 +47,6 @@ from .matcore import (
     Matrix,
     Tolerance,
     UnsupportedSize,
-    _block_permutation,
     direct_sum,
 )
 
@@ -58,11 +54,8 @@ from .matcore import (
 PARAM_CAP = 1e3
 B_FLOOR = 1e-3
 SEPARATION = 1e-2
-
-#: draws of the randomized search for forbidden pairs, and the chunk sizes
-#: it evaluates them in (doubling, so an early success stays cheap)
-SEARCH_DRAWS = 200
-SEARCH_CHUNKS = (8, 16, 32, 64, 80)
+#: largest 2-norm cond of the eigenvector basis T of a remainder B - C
+COND_CAP = 1e8
 
 
 class ParameterCapExceeded(ConvergenceFailure):
@@ -104,8 +97,14 @@ def skew_block(a, b):
     return [[a, b], [-(one + a * a) / b, -a]]
 
 
-def skew_block_matrix(a: float, b: float) -> Matrix:
-    return Matrix.floating(np.array(skew_block(float(a), float(b)), dtype=complex))
+def straddle_block(u: float, v: float) -> np.ndarray:
+    """C_4 = [[M(0, b), 0], [Z, M(0, 1)]] with b = 1/(1+u^2) and
+    Z = -(1+v^2) [[0, 1], [1+u^2, 0]].  Z M(0, b) + M(0, 1) Z = 0, so
+    C_4^2 = -I, and lambda I_4 + E_01 + E_12 - C_4 has eigenvalues
+    lambda +- u and lambda +- v."""
+    w = 1.0 + u * u
+    z = -(1.0 + v * v) * np.array([[0.0, 1.0], [w, 0.0]])
+    return np.block([[np.array(skew_block(0.0, 1.0 / w)), np.zeros((2, 2))], [z, np.array(skew_block(0.0, 1.0))]])
 
 
 def skew_diag_summands(values) -> list[Matrix]:
@@ -124,7 +123,7 @@ def skew_sum_diag_pair(a, b) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# pair parameter choice
+# window parameter choice
 # ---------------------------------------------------------------------------
 
 
@@ -145,6 +144,27 @@ class PairSpec:
     def forbidden(self) -> bool:
         return self.eps == 0 and self.rot == 0 and self.lambda1 == self.lambda2
 
+    def tuned_block(self, used: set[float]) -> tuple[np.ndarray, tuple[float, ...]]:
+        params, nu = choose_pair_params(self, used)
+        return np.array(skew_block(params.a, params.b)), nu
+
+
+@dataclass(frozen=True)
+class StraddleSpec:
+    """The 4-by-4 window lambda I_4 + E_01 + E_12 where two odd-size
+    J(lambda) blocks meet: the last three diagonal entries of the first
+    block and the first entry of the second."""
+
+    lam: float
+
+    def tuned_block(self, used: set[float]) -> tuple[np.ndarray, tuple[float, ...]]:
+        """C_4 at u = s, v = s/3 for the first separation-stream s that
+        keeps all of lambda +- u, lambda +- v clear of `used` (v = s/3
+        rather than the next stream value keeps C_4 and T small)."""
+        s, nu = _separation(used, self.lam, (1.0, 3.0))
+        _coupled_b(self.lam, s)
+        return straddle_block(s, s / 3.0), nu
+
 
 @dataclass(frozen=True)
 class SkewParams:
@@ -161,11 +181,28 @@ def pair_discriminant(lambda1: float, lambda2: float, eps: int, a: float, b: flo
     return g * g - 4.0 * g * a - 4.0
 
 
-def _separation_stream():
+def _separation(used: set[float], mid: float, divisors=(1.0,)) -> tuple[float, tuple[float, ...]]:
+    """The first s of the separation stream 1.1, 1.6, 2.1, ... that keeps
+    every mid +- s/d, d in `divisors`, SEPARATION away from `used`;
+    returns s and those values."""
     s = 1.1
     while True:
-        yield s
+        nu = tuple(mid + sign * s / d for d in divisors for sign in (-1.0, 1.0))
+        if all(abs(v - x) >= SEPARATION for v in nu for x in used):
+            return s, nu
         s += 0.5
+
+
+def _coupled_b(lam: float, s: float) -> float:
+    """b = 1/(1+s^2) of M(0, b) on a coupled window of value lam, whose
+    remainder then has eigenvalues lam +- s; raises ParameterCapExceeded
+    below B_FLOOR."""
+    b = 1.0 / (1.0 + s * s)
+    if b < B_FLOOR:
+        raise ParameterCapExceeded(
+            f"pair ({lam:.6g}, {lam:.6g}): b = {b:.3g} for separation {s:g} is below the floor {B_FLOOR:g}"
+        )
+    return b
 
 
 def choose_pair_params(p: PairSpec, used: set[float]) -> tuple[SkewParams, tuple[float, float]]:
@@ -176,38 +213,98 @@ def choose_pair_params(p: PairSpec, used: set[float]) -> tuple[SkewParams, tuple
     leave its cap."""
     if p.forbidden:
         raise ValueError("forbidden pair: equal values without coupling")
-    mid = (p.lambda1 + p.lambda2) / 2.0
-    for s in _separation_stream():
-        nu = (mid - s, mid + s)
-        if any(abs(v - u) < SEPARATION for v in nu for u in used):
-            continue
-        if p.rot:
-            # the window minus M(0, q) has off-diagonal product
-            # (rot - q)(1/q - rot) = s^2 when rot q^2 - (1 + rot^2 + s^2) q
-            # + rot = 0; its roots q and 1/q give C the same norm, and this
-            # is the larger one, free of cancellation
-            r = p.rot
-            q = (1.0 + r * r + s * s + np.sqrt(((1.0 - r) ** 2 + s * s) * ((1.0 + r) ** 2 + s * s))) / (2.0 * r)
-            return SkewParams(a=0.0, b=float(q)), nu
-        if p.eps == 1:
-            a = 0.0
-            b = 1.0 / (1.0 + s * s)
-            if b < B_FLOOR:
-                raise ParameterCapExceeded(
-                    f"pair ({p.lambda1:.6g}, {p.lambda2:.6g}): b = {b:.3g} for separation {s:g} "
-                    f"is below the floor {B_FLOOR:g}"
-                )
-        else:
-            g = p.lambda1 - p.lambda2
-            a = (g * g - 4.0 - 4.0 * s * s) / (4.0 * g)
-            b = 1.0
-            if abs(a) > PARAM_CAP:
-                raise ParameterCapExceeded(
-                    f"pair values {p.lambda1:.6g}, {p.lambda2:.6g} too close: |a| = {abs(a):.3g} "
-                    f"exceeds the parameter cap {PARAM_CAP:g}"
-                )
-        assert pair_discriminant(p.lambda1, p.lambda2, p.eps, a, b) > 0
-        return SkewParams(a=a, b=b), nu
+    s, nu = _separation(used, (p.lambda1 + p.lambda2) / 2.0)
+    if p.rot:
+        # the window minus M(0, q) has off-diagonal product
+        # (rot - q)(1/q - rot) = s^2 when rot q^2 - (1 + rot^2 + s^2) q
+        # + rot = 0; its roots q and 1/q give C the same norm, and this
+        # is the larger one, free of cancellation
+        r = p.rot
+        q = (1.0 + r * r + s * s + np.sqrt(((1.0 - r) ** 2 + s * s) * ((1.0 + r) ** 2 + s * s))) / (2.0 * r)
+        return SkewParams(a=0.0, b=float(q)), nu
+    if p.eps == 1:
+        a, b = 0.0, _coupled_b(p.lambda1, s)
+    else:
+        g = p.lambda1 - p.lambda2
+        a = (g * g - 4.0 - 4.0 * s * s) / (4.0 * g)
+        b = 1.0
+        if abs(a) > PARAM_CAP:
+            raise ParameterCapExceeded(
+                f"pair values {p.lambda1:.6g}, {p.lambda2:.6g} too close: |a| = {abs(a):.3g} "
+                f"exceeds the parameter cap {PARAM_CAP:g}"
+            )
+    assert pair_discriminant(p.lambda1, p.lambda2, p.eps, a, b) > 0
+    return SkewParams(a=a, b=b), nu
+
+
+# ---------------------------------------------------------------------------
+# the window split
+# ---------------------------------------------------------------------------
+
+
+def _diagonalize_real(d: Matrix) -> tuple[Matrix, list[float], float] | None:
+    """(T, values, cond(T)) with D = T diag(values) T^{-1}, all real; None
+    if the spectrum is not real and simple enough or cond(T) > COND_CAP."""
+    vals, vecs = np.linalg.eig(d.to_array().real)
+    scale = 1.0 + np.max(np.abs(vals))
+    if np.max(np.abs(vals.imag)) > 1e-8 * scale:
+        return None
+    order = np.argsort(vals.real)
+    vals = vals.real[order]
+    if np.min(np.diff(vals)) < 1e-6 * scale:
+        return None
+    t = np.real(vecs[:, order])
+    cond = float(np.linalg.cond(t)) if np.all(np.isfinite(t)) else np.inf
+    if not cond <= COND_CAP:
+        return None
+    return Matrix.floating(t), [float(v) for v in vals], cond
+
+
+def _pair_split(a: Matrix, windows: list, what: str) -> tuple[list[Matrix], dict]:
+    """Five skew summands for a real A that is block upper triangular over
+    its diagonal windows `windows` (each a PairSpec or a StraddleSpec): one
+    tuned skew block per window, so that A - C has distinct real
+    eigenvalues, then the diagonal 4-sum of A - C = T diag(values) T^{-1}.
+    Returns the summands and the figures of the log step; raises
+    ConvergenceFailure when A - C is not real-diagonalizable."""
+    used: set[float] = set()
+    blocks = []
+    for w in windows:
+        blk, nu = w.tuned_block(used)
+        used.update(nu)
+        blocks.append(Matrix.floating(blk))
+    c = direct_sum(*blocks)
+    diag = _diagonalize_real(a - c)
+    if diag is None:
+        raise ConvergenceFailure(f"{what} leave a remainder that is not real-diagonalizable")
+    t, values, cond_t = diag
+    summands = [c] + consim_conjugate_list(t, skew_diag_summands(values))
+    return summands, {"count": 5, "eigenvalues": values, "cond_T": cond_t}
+
+
+def _pad_part(summands: list[Matrix], target: int, n: int) -> list[Matrix]:
+    """Stretch a part's summand list to `target` entries: one unimodular
+    split fixes parity, zero-sum pairs (M, -M) do the rest."""
+    out = list(summands)
+    if (target - len(out)) % 2:
+        k1, k2 = split_unimodular(out[-1])
+        out = out[:-1] + [k1, k2]
+    pad = direct_sum(*[skew_base(1) for _ in range(n // 2)])
+    while len(out) < target:
+        out.extend([pad, -pad])
+    return out
+
+
+def _place_parts(parts: list[tuple[list[int], list[Matrix]]], n: int) -> list[Matrix]:
+    """n-by-n summands from parts (idx, summands) that each split the
+    principal submatrix on rows and columns idx: every part is padded to
+    the largest count and placed on its idx."""
+    target = max(len(ks) for _, ks in parts)
+    inner = np.zeros((target, n, n), dtype=complex)
+    for idx, ks in parts:
+        for slot, k in zip(inner, _pad_part(ks, target, len(idx))):
+            slot[np.ix_(idx, idx)] = k.to_array()
+    return [Matrix.floating(k) for k in inner]
 
 
 # ---------------------------------------------------------------------------
@@ -249,74 +346,6 @@ def _blocks_of(lam: list[float], eps: list[int]) -> list[tuple[float, int]]:
     return blocks
 
 
-def _layout(blocks: list[tuple[float, int]]) -> tuple[list[float], list[int]]:
-    lam, eps = [], []
-    for value, size in blocks:
-        lam.extend([value] * size)
-        eps.extend([1] * (size - 1) + [0])
-    return lam, eps[:-1]
-
-
-def _pairs_of(lam: list[float], eps: list[int]) -> list[PairSpec]:
-    return [PairSpec(lam[k], lam[k + 1], eps[k]) for k in range(0, len(lam), 2)]
-
-
-def _forbidden_count(blocks) -> int:
-    lam, eps = _layout(blocks)
-    return sum(1 for p in _pairs_of(lam, eps) if p.forbidden)
-
-
-def _best_block_order(blocks: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    if len(blocks) > 7:
-        return blocks
-    best, best_count = blocks, _forbidden_count(blocks)
-    if best_count == 0:
-        return best
-    for perm in permutations(blocks):
-        c = _forbidden_count(list(perm))
-        if c < best_count:
-            best, best_count = list(perm), c
-            if c == 0:
-                break
-    return best
-
-
-def _permutation_for(blocks, target) -> Matrix:
-    """Permutation P with P^{-1} (dsum blocks) P = dsum target."""
-    remaining = list(range(len(blocks)))
-    order = []
-    for t in target:
-        idx = next(i for i in remaining if blocks[i] == t)
-        order.append(idx)
-        remaining.remove(idx)
-    return _block_permutation([s for _, s in blocks], order)
-
-
-def _real_spectrum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(1 + max|lambda|, max|Im lambda| <= 1e-8 (1 + max|lambda|)) over the
-    last axis: one spectrum, or a stack of them."""
-    scale = 1.0 + np.max(np.abs(vals), axis=-1)
-    return scale, ~(np.max(np.abs(vals.imag), axis=-1) > 1e-8 * scale)
-
-
-def _diagonalize_real(d: Matrix, cond_cap: float = 1e8) -> tuple[Matrix, list[float]] | None:
-    """(T, values) with D = T diag(values) T^{-1}, all real; None if the
-    spectrum is not real and simple enough."""
-    arr = d.to_array().real
-    vals, vecs = np.linalg.eig(arr)
-    scale, real = _real_spectrum(vals)
-    if not real:
-        return None
-    order = np.argsort(vals.real)
-    vals = vals.real[order]
-    if np.min(np.diff(vals)) < 1e-6 * scale:
-        return None
-    t = np.real(vecs[:, order])
-    if not np.all(np.isfinite(t)) or np.linalg.cond(t) > cond_cap:
-        return None
-    return Matrix.floating(t), [float(v) for v in vals]
-
-
 def _sign_flipped(blocks: list[tuple[float, int]]) -> list[tuple[float, int]]:
     """The blocks with every second odd-size block of each value
     lambda != 0 replaced by J(-lambda): two odd blocks of one value meet
@@ -332,45 +361,39 @@ def _sign_flipped(blocks: list[tuple[float, int]]) -> list[tuple[float, int]]:
     return out
 
 
-def _split_summands(c: Matrix, t: Matrix, values: list[float]) -> list[Matrix]:
-    """C + T diag(values) T^{-1} (T real) as C and the diagonal 4-sum."""
-    return [c] + consim_conjugate_list(t, skew_diag_summands(values))
+def _windows(blocks: list[tuple[float, int]]) -> tuple[list[int], list]:
+    """The window order of the blocks (positions: even-size first, then
+    the odd-size ones in consecutive pairs, the larger of each pair first)
+    and the diagonal windows that tile their direct sum in that order.
+    Inside a block every window is a coupled pair; an odd pair of two
+    values meets in an uncoupled 2-by-2 window, and of one value in a
+    4-by-4 straddle window (the caller leaves at most one 1-by-1 block, so
+    the first block of that pair is at least 3-by-3)."""
+    order = [k for k, (_, size) in enumerate(blocks) if size % 2 == 0]
+    windows: list = [PairSpec(blocks[k][0], blocks[k][0], 1) for k in order for _ in range(blocks[k][1] // 2)]
+    odd = [k for k, (_, size) in enumerate(blocks) if size % 2]
+    for pair in zip(odd[::2], odd[1::2]):
+        first, second = sorted(pair, key=lambda k: -blocks[k][1])
+        (l1, p), (l2, q) = blocks[first], blocks[second]
+        order += [first, second]
+        if l1 == l2:
+            windows += [PairSpec(l1, l1, 1)] * ((p - 3) // 2) + [StraddleSpec(l1)]
+        else:
+            windows += [PairSpec(l1, l1, 1)] * ((p - 1) // 2) + [PairSpec(l1, l2, 0)]
+        windows += [PairSpec(l2, l2, 1)] * ((q - 1) // 2)
+    return order, windows
 
 
-def _pair_split(a: Matrix, pairs: list[PairSpec]) -> tuple[list[Matrix], list[float]] | None:
-    """Five skew summands for a real A that is block upper triangular over
-    the 2-by-2 diagonal windows `pairs`: one skew block per window, tuned by
-    ``choose_pair_params`` so A - C has distinct real eigenvalues, then the
-    diagonal 4-sum of A - C.  Returns (summands, eigenvalues of A - C), or
-    None when a pair is forbidden or A - C is not real-diagonalizable."""
-    if any(p.forbidden for p in pairs):
-        return None
-    used: set[float] = set()
-    cblocks = []
-    for p in pairs:
-        params, nu = choose_pair_params(p, used)
-        used.update(nu)
-        cblocks.append(skew_block_matrix(params.a, params.b))
-    c = direct_sum(*cblocks)
-    diag = _diagonalize_real(a - c)
-    if diag is None:
-        return None
-    t, values = diag
-    return _split_summands(c, t, values), values
+def skew_sum_jordan(a: Matrix) -> Decomposition:
+    """At most 5 skew summands, in closed form, for a real direct sum of
+    upper-bidiagonal Jordan-type blocks (even size).
 
-
-def skew_sum_jordan(
-    a: Matrix,
-    *,
-    seed: int = DEFAULT_SEED,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Decomposition:
-    """Skew sum for a real direct sum of upper-bidiagonal Jordan-type
-    blocks (even size).  Strategy chain for forbidden pairs: sign-flip
-    every second odd-size block of each value lambda != 0 (J_m(lambda) is
-    consimilar to J_m(-lambda) through i diag(1, -1, 1, ...)), reorder the
-    direct summands, then a seeded randomized search for a general real
-    skew summand, then the flagged 6-summand fallback."""
+    The 1-by-1 blocks (all but the last when their count is odd) take the
+    diagonal 4-sum.  The others are sign-flipped (every second odd-size
+    block of each value lambda != 0; J_m(lambda) is consimilar to
+    J_m(-lambda) through i diag(1, -1, 1, ...)), laid out by ``_windows``
+    and split by ``_pair_split``.  Both parts are padded to one count and
+    conjugated back by U = diag(phase) P, P the block permutation."""
     if a.n % 2:
         raise UnsupportedSize("even size required")
     lam, eps = _read_bidiagonal(a)
@@ -382,185 +405,38 @@ def skew_sum_jordan(
         return Decomposition(KIND_SKEW_SUM, summands, log=log)
 
     blocks = _blocks_of(lam, eps)
-    flipped = _sign_flipped(blocks)
+    starts = np.cumsum([0] + [size for _, size in blocks]).tolist()
+    ones = [k for k, (_, size) in enumerate(blocks) if size == 1]
+    scalars = ones[: len(ones) - len(ones) % 2]
+    rest = [k for k in range(len(blocks)) if k not in scalars]
+    flipped = _sign_flipped([blocks[k] for k in rest])
     phase = np.ones(a.n, dtype=complex)
-    if flipped != blocks:
-        offsets = np.cumsum([0] + [size for _, size in blocks])
-        for (value, size), (new, _), start in zip(blocks, flipped, offsets):
-            if new != value:
-                phase[start : start + size] = 1j * (-1.0) ** np.arange(size)
+    for k, (value, size) in zip(rest, flipped):
+        if value != blocks[k][0]:
+            phase[starts[k] : starts[k + 1]] = 1j * (-1.0) ** np.arange(size)
+    if np.any(phase != 1):
         log.append({"step": "sign-flip", "blocks": [[v, s] for v, s in flipped]})
-    ordered = _best_block_order(flipped)
-    if ordered != flipped:
-        log.append({"step": "block-reorder", "order": [[v, s] for v, s in ordered]})
+
     # U = diag(phase) P has one unimodular entry per row and column, so
-    # conj(U)^{-1} = U^T and U^T A U is the flipped, reordered layout
-    u = Matrix.diag(phase) @ _permutation_for(flipped, ordered)
-    lam2, eps2 = _layout(ordered)
-    a2 = u.transpose() @ a @ u
-
-    split = _pair_split(a2, _pairs_of(lam2, eps2))
-    if split is not None:
-        inner, values = split
-        log.append({"step": "pair-split", "count": 5, "eigenvalues": values})
-        return Decomposition(KIND_SKEW_SUM, consim_conjugate_list(u, inner), log=log)
-
-    found = _random_search(a2, seed=seed, tol=tol)
-    if found is not None:
-        c, t, values, restarts = found
-        summands = consim_conjugate_list(u, _split_summands(c, t, values))
-        log.append({"step": "randomized-search", "restarts": restarts, "count": 5})
-        return Decomposition(KIND_SKEW_SUM, summands, log=log)
-
-    summands = consim_conjugate_list(u, _rotation_fallback(a2, lam2, eps2))
-    log.append({"step": "rotation-fallback", "count": len(summands), "restarts": SEARCH_DRAWS})
-    return Decomposition(KIND_SKEW_SUM, summands, log=log, flags=[FLAG_NONOPTIMAL])
-
-
-def _random_search(
-    a: Matrix,
-    *,
-    seed: int,
-    tol: Tolerance,
-    restarts: int = SEARCH_DRAWS,
-) -> tuple[Matrix, Matrix, list[float], int] | None:
-    """Seeded search over general real C with C^2 = -I, accepting a draw
-    when spec(A - C) is real and simple.
-
-    Draw k is P_k = I + 0.6 Z_k with Z_k the k-th standard normal n-by-n
-    block of `default_rng(seed)`, and C_k = P_k K P_k^{-1}.  Draws are
-    evaluated in chunks of `SEARCH_CHUNKS` (the last size repeats), capped
-    at `restarts`: one stacked cond drops P with cond > 50, one stacked
-    inverse and matmul form the C, and one stacked `eigvals` of Re(A) - C
-    drops every draw whose spectrum fails the realness test of
-    `_diagonalize_real`.  The survivors go, in draw order, through
-    `_diagonalize_real` and the C^2 = -I residual check; the first that
-    passes is returned with its 1-based draw index.  LAPACK treats each
-    matrix of a stack as it treats it alone, so the outcome is the one a
-    draw-by-draw loop over the same stream gives, bit for bit."""
-    n = a.n
-    rng = np.random.default_rng(seed)
-    base = skew_base(n // 2).to_array().real
-    a_re = a.to_array().real
-    sizes = chain(SEARCH_CHUNKS, repeat(SEARCH_CHUNKS[-1]))
-    done = 0
-    while done < restarts:
-        size = min(next(sizes), restarts - done)
-        p = np.eye(n) + 0.6 * rng.standard_normal((size, n, n))
-        kept = np.flatnonzero(~(np.linalg.cond(p) > 50))
-        c_arr = p[kept] @ base @ np.linalg.inv(p[kept])
-        _, real = _real_spectrum(np.linalg.eigvals(a_re - c_arr))
-        for j, cj in zip(kept[real], c_arr[real]):
-            c = Matrix.floating(cj)
-            diag = _diagonalize_real(a - c, cond_cap=1e6)
-            if diag is None:
-                continue
-            residual = (c.conj() @ c + Matrix.identity(n)).frobenius_norm()
-            if residual > tol.bound(c.frobenius_norm() ** 2):
-                continue
-            t, values = diag
-            return c, t, values, done + int(j) + 1
-        done += size
-    return None
-
-
-def _rotation_fallback(a: Matrix, lam: list[float], eps: list[int]) -> list[Matrix]:
-    """Flagged 6-summand route: one skew block per pair (forbidden pairs at
-    M(0,1), whose remainder eigenvalues are lambda +- i), an eigenvector
-    change of basis that keeps the pair slots aligned, one extra skew
-    summand soaking up all the rotation parts, and the diagonal 4-sum."""
-    n = a.n
-    used: set[float] = set()
-    cblocks = []
-    plan: list[tuple[str, tuple[float, float]]] = []
-    for p in _pairs_of(lam, eps):
-        if p.forbidden:
-            cblocks.append(skew_block_matrix(0.0, 1.0))
-            plan.append(("rotation", (p.lambda1, p.lambda1)))
-        else:
-            params, nu = choose_pair_params(p, used)
-            used.update(nu)
-            cblocks.append(skew_block_matrix(params.a, params.b))
-            plan.append(("good", nu))
-    c = direct_sum(*cblocks)
-    d = (a - c).to_array().real
-
-    # the remainder is block upper triangular, so its spectrum is exactly
-    # the per-pair prediction; build eigenvector columns in pair order
-    vals, vecs = np.linalg.eig(d)
-    taken = np.zeros(len(vals), dtype=bool)
-
-    def claim(target: complex) -> int:
-        idx = int(np.argmin(np.abs(vals - target) + np.where(taken, 1e9, 0.0)))
-        if abs(vals[idx] - target) > 1e-6 * (1 + abs(target)):
-            raise ArithmeticError("remainder spectrum strayed from the prediction")
-        taken[idx] = True
-        return idx
-
-    columns: list[np.ndarray] = []
-    for kind, data in plan:
-        if kind == "good":
-            for nu in data:
-                columns.append(np.real(vecs[:, claim(complex(nu))]))
-        else:
-            lam_r = data[0]
-            i = claim(complex(lam_r, 1.0))
-            claim(complex(lam_r, -1.0))
-            w = vecs[:, i]
-            columns.append(np.real(w))
-            columns.append(np.imag(w))
-    t_arr = np.column_stack(columns)
-    if not np.all(np.isfinite(t_arr)) or np.linalg.cond(t_arr) > 1e9:
-        raise ArithmeticError("remainder is too defective for the fallback route")
-    t = Matrix.floating(t_arr)
-    e = (t.inverse() @ Matrix.floating(d) @ t).to_array().real
-
-    half = n // 2
-    eb = direct_sum(*[skew_base(1) for _ in range(half)])
-    ea = e - eb.to_array().real
-
-    # per-slot secondary diagonalization of E - Eb: good slots have a 2x2
-    # with discriminant 4 s^2 - 4 > 0, rotation slots are lambda I2
-    t2_blocks, values = [], []
-    for k, (kind, data) in enumerate(plan):
-        blk = ea[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
-        if kind == "rotation":
-            t2_blocks.append(np.eye(2))
-            values.extend([float(blk[0, 0]), float(blk[1, 1])])
-            continue
-        bvals, bvecs = np.linalg.eig(blk)
-        if float(np.max(np.abs(bvals.imag))) > 1e-8 * (1 + np.max(np.abs(bvals))):
-            raise ArithmeticError("secondary split produced complex eigenvalues")
-        t2_blocks.append(np.real(bvecs))
-        values.extend([float(x) for x in bvals.real])
-    t2 = Matrix.floating(
-        np.block(
-            [
-                [t2_blocks[i] if i == j else np.zeros((2, 2)) for j in range(half)]
-                for i in range(half)
-            ]
-        )
-    )
-    tail = consim_conjugate_list(t @ t2, skew_diag_summands(values))
-    return [c, consim_conjugate_list(t, [eb])[0]] + tail
+    # conj(U)^{-1} = U^T, and U^T A U on the rest rows is the flipped
+    # layout in window order
+    order, windows = _windows(flipped)
+    rest_idx = [row for i in order for row in range(starts[rest[i]], starts[rest[i] + 1])]
+    b = (phase[:, None] * a.to_array() * phase)[np.ix_(rest_idx, rest_idx)]
+    inner, entry = _pair_split(Matrix.floating(b.real), windows, "the J-blocks")
+    entry["straddles"] = sum(isinstance(w, StraddleSpec) for w in windows)
+    log.append({"step": "pair-split", **entry})
+    parts = [(rest_idx, inner)]
+    if scalars:
+        values = [blocks[k][0] for k in scalars]
+        parts.append(([starts[k] for k in scalars], skew_diag_summands(values)))
+    summands = consim_conjugate_list(Matrix.diag(phase), _place_parts(parts, a.n))
+    return Decomposition(KIND_SKEW_SUM, summands, log=log)
 
 
 # ---------------------------------------------------------------------------
 # the full skew pipeline
 # ---------------------------------------------------------------------------
-
-
-def _pad_part(summands: list[Matrix], target: int, n: int) -> list[Matrix]:
-    """Stretch a part's summand list to `target` entries: one unimodular
-    split fixes parity, zero-sum pairs (M, -M) do the rest."""
-    out = list(summands)
-    if (target - len(out)) % 2:
-        k1, k2 = split_unimodular(out[-1])
-        out = out[:-1] + [k1, k2]
-    pad = direct_sum(*[skew_base(1) for _ in range(n // 2)])
-    while len(out) < target:
-        out.extend([pad, -pad])
-    return out
 
 
 def skew_coninvolutory_sum(
@@ -571,9 +447,7 @@ def skew_coninvolutory_sum(
     pad_to: int | None = None,
 ) -> Decomposition:
     """At most 5 skew-coninvolutory summands for an even-size complex
-    matrix (6 with the nonoptimal_count flag when a forbidden pair defeats
-    the randomized search).
-    The sum checks its certificate before padding and raises
+    matrix.  The sum checks its certificate before padding and raises
     ConvergenceFailure on a miss."""
     if a.n % 2:
         raise UnsupportedSize("skew-coninvolutory sums need an even size")
@@ -582,7 +456,7 @@ def skew_coninvolutory_sum(
 
     if a.is_zero():
         k = direct_sum(*[skew_base(1) for _ in range(a.n // 2)])
-        return _finish_skew(a, [k, -k], [{"step": "zero-input", "count": 2}], [], tol, pad_to)
+        return _finish_skew(a, [k, -k], [{"step": "zero-input", "count": 2}], tol, pad_to)
 
     s, b = consimilar_to_real(a, seed=seed, tol=tol)
     log.append({"step": "consimilar-to-real", "n": a.n, "cond_S": float(np.linalg.cond(s.to_array()))})
@@ -595,41 +469,35 @@ def skew_coninvolutory_sum(
     for start, stop in _diagonal_blocks(bb):
         (chains if stop - start > 1 and bb[start + 1, start] != 0 else jordan).extend(range(start, stop))
     parts: list[tuple[list[int], list[Matrix]]] = []
-    flags: list[str] = []
     if chains:
         bc = bb[np.ix_(chains, chains)]
         windows = [PairSpec(bc[k, k], bc[k + 1, k + 1], 0, rot=bc[k, k + 1]) for k in range(0, len(chains), 2)]
-        split = _pair_split(Matrix.floating(bc), windows)
-        if split is None:
-            raise ConvergenceFailure("the real-pair chains leave a remainder that is not real-diagonalizable")
-        parts.append((chains, split[0]))
-        log.append({"step": "chain-split", "count": 5, "eigenvalues": split[1]})
+        inner, entry = _pair_split(Matrix.floating(bc), windows, "the real-pair chains")
+        parts.append((chains, inner))
+        log.append({"step": "chain-split", **entry})
     if jordan:
-        d = skew_sum_jordan(Matrix.floating(bb[np.ix_(jordan, jordan)]), seed=seed, tol=tol)
+        d = skew_sum_jordan(Matrix.floating(bb[np.ix_(jordan, jordan)]))
         parts.append((jordan, d.summands))
         log.extend(d.log)
-        flags = d.flags
 
-    target = max(len(ks) for _, ks in parts)
-    inner = np.zeros((target, a.n, a.n), dtype=complex)
-    for idx, ks in parts:
-        for slot, k in zip(inner, _pad_part(ks, target, len(idx))):
-            slot[np.ix_(idx, idx)] = k.to_array()
-    summands = consim_conjugate_list(s, [Matrix.floating(k) for k in inner])
-    return _finish_skew(a, summands, log, flags, tol, pad_to)
+    summands = consim_conjugate_list(s, _place_parts(parts, a.n))
+    return _finish_skew(a, summands, log, tol, pad_to)
 
 
 def _finish_skew(
     a: Matrix,
     summands: list[Matrix],
     log: list,
-    flags: list[str],
     tol: Tolerance,
     pad_to: int | None,
 ) -> Decomposition:
-    require_certificate(a, Decomposition(KIND_SKEW_SUM, summands, flags=flags), tol, "skew sum")
+    require_certificate(a, Decomposition(KIND_SKEW_SUM, summands), tol, "skew sum")
+    entry = {"step": "summands"}
+    if not a.is_zero():
+        entry["amplification"] = max(k.frobenius_norm() for k in summands) / a.frobenius_norm()
     if pad_to is not None and pad_to > len(summands):
         summands = _pad_part(summands, pad_to, a.n)
         log.append({"step": "pad", "count": len(summands)})
-    log.append({"step": "summands", "count": len(summands)})
-    return Decomposition(kind=KIND_SKEW_SUM, summands=summands, log=log, flags=flags)
+    entry["count"] = len(summands)
+    log.append(entry)
+    return Decomposition(kind=KIND_SKEW_SUM, summands=summands, log=log)

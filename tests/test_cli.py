@@ -253,13 +253,17 @@ def test_convergence_failure_is_numerical(monkeypatch, capsys):
 
 
 def test_skew_parameter_cap_is_numerical(capsys, monkeypatch):
-    # J2(1) + [2] + [3] with the cap lowered: the pair (2, 3) needs |a| = 1.96
+    # J2(1) + J3(2) + J1(3) with the cap lowered: J3(2) and J1(3) meet in
+    # the window (2, 3), which needs |a| = 1.96
     from coninv import skewsum
 
     monkeypatch.setattr(skewsum, "PARAM_CAP", 1e-3)
-    entries = [[0, 0]] * 16
-    for k, v in {0: 1, 1: 1, 5: 1, 10: 2, 15: 3}.items():
-        entries[k] = [v, 0]
+    entries = [[0, 0]] * 36
+    diagonal = [1, 1, 2, 2, 2, 3]
+    for i, v in enumerate(diagonal):
+        entries[7 * i] = [v, 0]
+    for i in (0, 2, 3):
+        entries[7 * i + 1] = [1, 0]
     code, _, err = run(capsys, "decompose", "--kind", "skew", "--json", matrix_json(entries))
     assert code == 3
     assert "numerical failure" in err and "pair values 2, 3 too close" in err and "parameter cap" in err

@@ -19,6 +19,7 @@ from coninv import (
     direct_sum,
     frobenius_form,
     involutory_diagonalizable_split,
+    jordan_block,
     matrix_from_json,
     skew_coninvolutory_sum,
     verify_decomposition,
@@ -146,3 +147,21 @@ def test_hidden_n12_skew_sum_certifies_or_fails_typed(seed):
         else:
             with pytest.raises(ConCanonicalError, match="no candidate block assignment verified"):
                 pipeline(a)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(3, 0.0), (2, 0.0)] + [(1, 0.0)] * 7,
+        [(3, 0.0), (2, 0.0), (2, 0.0)] + [(1, 0.0)] * 5,
+        [(3, 1.3), (2, 1.3), (2, 1.3)] + [(1, 1.3)] * 5,
+    ],
+    ids=["J3(0)+J2(0)+J1(0)^7", "J3(0)+J2(0)^2+J1(0)^5", "J3(1.3)+J2(1.3)^2+J1(1.3)^5"],
+)
+def test_jordan_sums_past_the_old_skew_fallback(blocks):
+    # the skew sum's 6-summand fallback once raised a plain ArithmeticError
+    # ("remainder is too defective") here
+    a = direct_sum(*[jordan_block(m, lam) for m, lam in blocks])
+    d = skew_coninvolutory_sum(a)
+    assert d.count <= 5 and not d.flags
+    assert verify_decomposition(a, d).passed

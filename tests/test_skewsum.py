@@ -22,10 +22,10 @@ from coninv import (
     verify_decomposition,
 )
 from coninv import skewsum
-from coninv.certify import FLAG_NONOPTIMAL, decomposition_from_json, decomposition_to_json
+from coninv.certify import decomposition_from_json, decomposition_to_json
 from coninv.concanon import ConCanonicalBlock, ConCanonicalError, build_block
 from coninv.matcore import ConvergenceFailure, MatrixError, UnsupportedSize, matrix_from_json
-from coninv.skewsum import ParameterCapExceeded, skew_identity_pair, skew_traceless_pair
+from coninv.skewsum import ParameterCapExceeded, skew_identity_pair, skew_traceless_pair, straddle_block
 
 import gaussq
 from conftest import random_complex
@@ -154,19 +154,34 @@ class TestJordanRoute:
         assert verify_decomposition(a, d).passed
 
     def test_forbidden_configuration(self):
+        # J3(0) and J1(0) meet in the 4-by-4 straddle window
         a = direct_sum(jordan_block(3, 0.0), jordan_block(1, 0.0))
         d = skew_sum_jordan(a)
-        assert d.count <= 6
+        assert d.count == 5 and not d.flags
+        assert d.log[-1]["straddles"] == 1
         assert verify_decomposition(a, d).passed
 
     def test_fallback_logs_the_search_draws(self):
+        # J2(0) + J1(0)^2: the 1-by-1 blocks take the diagonal 4-sum and
+        # J2(0) one coupled window, and the log says so
         a = direct_sum(jordan_block(2, 0.0), jordan_block(1, 0.0), jordan_block(1, 0.0))
         d = skew_sum_jordan(a)
-        assert FLAG_NONOPTIMAL in d.flags
-        assert d.log[-1] == {"step": "rotation-fallback", "count": 6, "restarts": 200}
+        assert d.count == 5 and not d.flags
+        (split,) = d.log
+        assert split["step"] == "pair-split" and split["straddles"] == 0
+        assert split["eigenvalues"] == pytest.approx([-1.1, 1.1]) and split["cond_T"] >= 1.0
         wire = json.loads(json.dumps(decomposition_to_json(d)))
-        assert decomposition_from_json(wire).log[-1]["restarts"] == 200
+        assert decomposition_from_json(wire).log == d.log
         assert verify_decomposition(a, d).passed
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Jordan route drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for blocks in ([(3, 0.0), (1, 0.0)], [(2, 0.0), (1, 0.0), (1, 0.0)], [(3, 1.0), (3, 1.0), (1, 1.0), (1, 2.0)]):
+            a = direct_sum(*[jordan_block(m, lam) for m, lam in blocks])
+            assert verify_decomposition(a, skew_sum_jordan(a)).passed
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -175,6 +190,29 @@ class TestJordanRoute:
             skew_sum_jordan(Matrix.floating([[1, 0], [2, 1]]))  # not upper bidiagonal
         with pytest.raises(ValueError):
             skew_sum_jordan(Matrix.floating([[1j, 0], [0, 1]]))  # complex entries
+
+
+class TestStraddleBlock:
+    @pytest.mark.parametrize("lam", [0.0, 0.7, -1.2])
+    @pytest.mark.parametrize("u, v", [(1.1, 1.1 / 3), (2.6, 0.5), (0.4, 3.0)])
+    def test_square_and_spectrum(self, lam, u, v):
+        c = straddle_block(u, v)
+        assert np.allclose(c @ c, -np.eye(4), atol=1e-13)
+        b = lam * np.eye(4) + np.diag([1.0, 1.0, 0.0], 1)
+        vals = np.linalg.eigvals(b - c)
+        assert np.max(np.abs(vals.imag)) < 1e-9
+        assert sorted(vals.real) == pytest.approx(sorted([lam - u, lam + u, lam - v, lam + v]), abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_equal_odd_pair_takes_one_straddle(self, lam):
+        # J5(lam) + J3(lam) + J3(0) + J1(0): the sign flip parts the first
+        # two when lam != 0, and J3(0) + J1(0) always meet in a straddle
+        a = direct_sum(jordan_block(5, lam), jordan_block(3, lam), jordan_block(3, 0.0), jordan_block(1, 0.0))
+        d = skew_sum_jordan(a)
+        assert d.count == 5 and not d.flags
+        (split,) = [e for e in d.log if e["step"] == "pair-split"]
+        assert split["straddles"] == (2 if lam == 0 else 1)
+        assert verify_decomposition(a, d).passed
 
 
 class TestHBlock:
@@ -285,8 +323,8 @@ class TestForbiddenPairs:
     def test_odd_zero_blocks_still_fall_back(self):
         a = direct_sum(jordan_block(2, 0.0), jordan_block(1, 0.0), jordan_block(1, 0.0))
         d = skew_coninvolutory_sum(a)
-        assert FLAG_NONOPTIMAL in d.flags and d.count == 6
-        assert any(e["step"] == "rotation-fallback" for e in d.log)
+        assert d.count == 5 and not d.flags
+        assert any(e["step"] == "pair-split" for e in d.log)
         assert verify_decomposition(a, d).passed
 
 
@@ -320,15 +358,47 @@ def hidden_canonical(draw):
 @settings(max_examples=100)
 @given(case=hidden_canonical())
 def test_hidden_canonical_sums(case):
-    blocks, a = case
+    _, a = case
     try:
         d = skew_coninvolutory_sum(a)  # checks its certificate before returning
     except (MatrixError, ConCanonicalError):
         return  # a typed error that says why
     assert verify_decomposition(a, d).passed
-    odd_zero = sum(1 for blk in blocks if blk.kind == "J" and blk.param == 0 and blk.size % 2)
-    if odd_zero < 2:
+    assert d.count <= 5 and not d.flags
+
+
+@st.composite
+def jordan_sums(draw):
+    """(B, A): B a direct sum of J_m(lambda), m in 1..5 and lambda in
+    {0, 0.5, 1.5}, of even size n <= 14; A is B itself or B hidden by a
+    real similarity (a consimilarity, as the similarity is real) with
+    cond <= 10."""
+    n = 2 * draw(st.integers(1, 7))
+    blocks = []
+    while sum(m for m, _ in blocks) < n:
+        room = n - sum(m for m, _ in blocks)
+        blocks.append((draw(st.integers(1, min(5, room))), draw(st.sampled_from([0.0, 0.5, 1.5]))))
+    b = direct_sum(*[jordan_block(m, lam) for m, lam in blocks])
+    if draw(st.booleans()):
+        return b, hidden(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), b)
+    return b, b
+
+
+@settings(max_examples=50)
+@given(case=jordan_sums())
+def test_jordan_sums_take_at_most_five(case):
+    b, a = case
+    if a is b:
+        d = skew_sum_jordan(b)
+        assert verify_decomposition(b, d).passed
         assert d.count <= 5 and not d.flags
+    try:
+        d = skew_coninvolutory_sum(a)  # checks its certificate before returning
+    except ConCanonicalError:
+        assert a is not b  # a hidden input the canonical form could not read
+        return
+    assert verify_decomposition(a, d).passed
+    assert d.count <= 5 and not d.flags
 
 
 class TestCertificateCheck:
