@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coninv import (
@@ -23,7 +26,17 @@ from coninv import (
 )
 from coninv.certify import KIND_INV_DIAG, Decomposition, decomposition_to_json
 from coninv import exactcanon
-from coninv.exactcanon import _coeffs, _components, _pdivmod, _vector_order, factor_prime_powers, poly_eval_matrix
+from coninv.exactcanon import (
+    _coeffs,
+    _components,
+    _divmod_mod,
+    _pdivmod,
+    _pmul,
+    _proven_irreducible,
+    _vector_order,
+    factor_prime_powers,
+    poly_eval_matrix,
+)
 from coninv.matcore import _integer_grid
 
 import exactref
@@ -389,3 +402,148 @@ def test_polynomial_json_round_trip():
     doc = poly_to_json(f)
     assert doc == {"m": 3, "a": ["5/3", "-6", "1/7"]}
     assert poly_from_json(doc) == f
+
+
+# ---------------------------------------------------------------------------
+# factorization: the proof of irreducibility modulo small primes, against sympy
+# ---------------------------------------------------------------------------
+
+
+def sympy_factors(c):
+    """sympy's factorization over QQ of descending Fraction coefficients,
+    each factor made monic, in the order factor_prime_powers returns."""
+    import sympy
+
+    poly = sympy.Poly([sympy.Rational(v.numerator, v.denominator) for v in c], sympy.symbols("x"), domain="QQ")
+    out = []
+    for factor, exp in poly.factor_list()[1]:
+        coeffs = [F(q.p, q.q) for q in factor.all_coeffs()]
+        out.append((Polynomial.from_monic_coeffs([v / coeffs[0] for v in coeffs]), int(exp)))
+    return sorted(out, key=lambda pe: (pe[0].m, pe[0].a))
+
+
+@st.composite
+def factor_products(draw):
+    """Descending coefficients of a monic product of random rational factors
+    of total degree <= 16: integer and rational coefficients, large
+    denominators, linear factors (rational roots) and repeated factors."""
+    coeff = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 1, 1, 2, 3, 7, 2**40, 10**12 + 39]))
+    c, budget = [F(1)], 16
+    for _ in range(draw(st.integers(1, 4))):
+        if not budget:
+            break
+        deg = draw(st.integers(1, budget))
+        exp = draw(st.integers(1, min(3, budget // deg)))
+        factor = [F(1)] + [draw(coeff) for _ in range(deg)]
+        for _ in range(exp):
+            c = _pmul(c, factor)
+        budget -= deg * exp
+    return c
+
+
+@settings(max_examples=80)
+@given(factor_products())
+def test_factorization_matches_sympy(c):
+    expected = sympy_factors(c)
+    assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == expected
+    if len(expected) > 1 or expected[0][1] > 1:
+        assert not _proven_irreducible(c)
+
+
+@given(
+    st.sampled_from([2, 3, 7, 113]),
+    st.lists(st.integers(0, 200), max_size=12),
+    st.lists(st.integers(0, 200), min_size=1, max_size=12),
+)
+def test_divmod_mod_reproduces_the_dividend(p, a, b):
+    def strip(v):
+        v = [x % p for x in v]
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = strip(a), strip(b)
+    if not b:
+        b = [1]
+    q, r = _divmod_mod(a, b, p)
+    assert len(r) < len(b) and (not r or r[-1])
+    back = [0] * max(len(a), len(r), len(q) + len(b) - 1)
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            back[i + j] += x * y
+    for i, x in enumerate(r):
+        back[i] += x
+    assert strip(back) == a
+
+
+def test_divmod_mod_of_a_shorter_dividend():
+    assert _divmod_mod([1, 2], [3, 4, 1], 5) == ([], [1, 2])
+    assert _divmod_mod([], [3, 4, 1], 5) == ([], [])
+
+
+#: irreducible over Q but reducible modulo every prime, so no set of primes
+#: proves them irreducible; and the minimal polynomial of a `real-exact`
+#: benchmark input, (x - 4) times an irreducible cubic
+GIVE_UP_CASES = {
+    "x^4+1": [1, 0, 0, 0, 1],
+    "x^4-10x^2+1": [1, 0, -10, 0, 1],
+    "x^8-40x^6+352x^4-960x^2+576": [1, 0, -40, 0, 352, 0, -960, 0, 576],
+    "rational-root-and-cubic": [1, F(-10, 3), F(-1585, 36), F(1013, 4), F(-3161, 9)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GIVE_UP_CASES))
+def test_prover_gives_up_within_its_cap(name, monkeypatch):
+    c = [F(v) for v in GIVE_UP_CASES[name]]
+    primes, fallbacks = [], []
+    degrees, fallback = exactcanon._factor_degrees_mod, exactcanon._sympy_factors
+    monkeypatch.setattr(exactcanon, "_factor_degrees_mod", lambda g, p: primes.append(p) or degrees(g, p))
+    monkeypatch.setattr(exactcanon, "_sympy_factors", lambda c: fallbacks.append(c) or fallback(c))
+    assert not _proven_irreducible(c)
+    assert 0 < len(primes) <= len(exactcanon.PROOF_PRIMES)
+    assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == sympy_factors(c)
+    assert len(fallbacks) == 1
+
+
+#: a generic rational 6 x 6; its minimal polynomial is an irreducible sextic
+GENERIC_6 = [
+    ["-5", "-2/3", "-4", "0", "-1", "4/3"],
+    ["1", "5/4", "3/2", "-1", "-5/2", "0"],
+    ["-2/3", "1", "-1/3", "3", "2/3", "-4"],
+    ["5/4", "-3/2", "-5/4", "-1/2", "-1/2", "3/2"],
+    ["1", "4/3", "2", "-5/3", "5", "-1/3"],
+    ["-3/2", "0", "-1", "1/2", "1/2", "-5/4"],
+]
+
+
+def run_cold(*argv):
+    """A fresh interpreter with this checkout's sources first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_thm1a_cold_start_leaves_sympy_unloaded():
+    mp = minimal_polynomial(Matrix.exact([[F(v) for v in row] for row in GENERIC_6]))
+    assert mp.m == 6 and _proven_irreducible(_coeffs(mp))
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import coninv\n"
+        f"a = coninv.Matrix.exact([[Fraction(v) for v in row] for row in {GENERIC_6!r}])\n"
+        "coninv.involutory_diagonalizable_split(a)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = run_cold("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_thm1a_cold_start_leaves_sympy_unloaded():
+    doc = {"n": 6, "pathway": "exact", "entries": [v for row in GENERIC_6 for v in row]}
+    proc = run_cold("-X", "importtime", "-m", "coninv.cli", "decompose", "--kind", "thm1a", "--json", json.dumps(doc))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["certificate"]["pass"] is True
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "coninv.exactcanon" in imported
+    assert not {name for name in imported if name.split(".")[0] == "sympy"}
