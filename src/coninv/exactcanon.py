@@ -9,6 +9,7 @@ defining residuals are asserted to be literally zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,13 +139,15 @@ def companion(f: Polynomial) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # exact rational factorization (pattern shortcuts, a proof of irreducibility
-# from factor degrees modulo small primes, then sympy)
+# from factor degrees modulo small primes, Zassenhaus over the integers, and
+# sympy for what has no squarefree reduction modulo those primes)
 # ---------------------------------------------------------------------------
 
-#: primes `_proven_irreducible` tries in turn before it gives up: all primes
-#: below 114.  Measured: no irreducible polynomial among 1,441 minimal
-#: polynomials of `real-exact` rounds (seeds 1-12) and 9,000 random cubic
-#: and quartic characteristic polynomials needed a prime past the 26th
+#: primes tried in turn, both by `_proven_irreducible` before it gives up and
+#: by `_zassenhaus` when it picks the prime to factor and lift at: all
+#: primes below 114.  Measured: no irreducible polynomial among 1,441
+#: minimal polynomials of `real-exact` rounds (seeds 1-12) and 9,000 random
+#: cubic and quartic characteristic polynomials needed a prime past the 26th
 PROOF_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
@@ -187,20 +190,46 @@ def _quadratic_power(c: list[Fraction]) -> list[tuple[list[Fraction], int]] | No
     return None
 
 
-# Polynomials over GF(p) below are lists of ints in [0, p), in ascending
-# order (index = power), with no zero leading coefficient; [] is zero.
+# Polynomials modulo m below are lists of ints in [0, m), in ascending
+# order (index = power), with no zero leading coefficient; [] is zero.  m is
+# a prime p, or a power of p where the divisor is monic.
 
 
 def _reduce_mod(v: list[int], p: int) -> list[int]:
-    """Integer coefficients v as a polynomial over GF(p)."""
+    """Integer coefficients v as a polynomial modulo p."""
     v = [x % p for x in v]
     while v and v[-1] == 0:
         v.pop()
     return v
 
 
+def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce_mod(out, p)
+
+
+def _add_mod(polys: list[list[int]], p: int) -> list[int]:
+    width = max(len(v) for v in polys)
+    return _reduce_mod([sum(col) for col in zip(*(v + [0] * (width - len(v)) for v in polys))], p)
+
+
+def _sub_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    return _add_mod([a, [-x for x in b]], p)
+
+
+def _symmetric(v: list[int], m: int) -> list[int]:
+    """Coefficients modulo m as the integers of least absolute value."""
+    return [x - m if 2 * x > m else x for x in v]
+
+
 def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero b over GF(p)."""
+    """Quotient and remainder of a by b modulo p; b nonzero, monic unless p is prime."""
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
     rem, q = list(a), [0] * max(len(a) - db, 0)
@@ -218,16 +247,15 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _factor_degrees_mod(g: list[int], p: int) -> list[int]:
-    """Degrees of the irreducible factors over GF(p) of a monic squarefree g.
+def _monic_mod(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
 
-    Distinct-degree factorization: gcd(rest, x^(p^i) - x) collects the
-    factors of degree i once those of lower degree are divided out, and
-    what is left once 2(i + 1) exceeds its degree is irreducible.
-    x^(p^i) mod g comes from x^(p^(i-1)) through the matrix of h -> h^p
-    (column j is x^(jp) mod g), whose columns come in turn from the
-    matrix of multiplication by x^p, the p-th power of g's companion.
-    """
+
+def _frobenius_matrix(g: list[int], p: int) -> np.ndarray:
+    """The matrix of h -> h^p on GF(p)[x]/(g), g monic: column j is x^(jp)
+    mod g.  Its columns come from the matrix of multiplication by x^p, the
+    p-th power of g's companion."""
     d = len(g) - 1
     # entries stay below p, so a product sums d terms below p^2: no int64 wrap
     times_x = np.zeros((d, d), dtype=np.int64)
@@ -244,6 +272,19 @@ def _factor_degrees_mod(g: list[int], p: int) -> list[int]:
     for j in range(d):
         frob[:, j] = col
         col = times_xp @ col % p
+    return frob
+
+
+def _factor_degrees_mod(g: list[int], p: int) -> list[int]:
+    """Degrees of the irreducible factors over GF(p) of a monic squarefree g.
+
+    Distinct-degree factorization: gcd(rest, x^(p^i) - x) collects the
+    factors of degree i once those of lower degree are divided out, and
+    what is left once 2(i + 1) exceeds its degree is irreducible.
+    x^(p^i) mod g comes from x^(p^(i-1)) through `_frobenius_matrix`.
+    """
+    d = len(g) - 1
+    frob = _frobenius_matrix(g, p)
     degrees, rest, i = [], g, 0
     power = (np.arange(d) == 1).astype(np.int64)  # x mod g; unused when d = 1
     while 2 * (i + 1) <= len(rest) - 1:
@@ -260,21 +301,132 @@ def _factor_degrees_mod(g: list[int], p: int) -> list[int]:
     return degrees
 
 
-def _proven_irreducible(c: list[Fraction]) -> bool:
-    """True when the monic rational c is proven irreducible over Q.
+def _nullspace_mod(rows: list[list[int]], p: int) -> list[list[int]]:
+    """A basis of {v : rows v = 0} over GF(p), by reduction to echelon form."""
+    m, width, pivots = [list(r) for r in rows], len(rows[0]), []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [0] * width
+        v[free] = 1
+        for i, col in enumerate(pivots):
+            v[col] = -m[i][free] % p
+        basis.append(v)
+    return basis
 
-    Cleared of denominators, c is an integer polynomial of the same degree
-    d modulo any prime p not dividing its leading coefficient, and a factor
-    of degree k over Q would reduce to a product of factors mod p whose
-    degrees sum to k.  So a prime at which c is squarefree rules out every
-    k that no subset of c's factor degrees there sums to, and once all of
-    1..d-1 are ruled out, c is irreducible.  False means not proven within
-    PROOF_PRIMES, not reducible.
+
+def _factor_mod(g: list[int], p: int) -> list[list[int]]:
+    """The monic irreducible factors over GF(p) of a monic squarefree g.
+
+    Berlekamp: the v with v^p = v mod g form a space whose dimension is the
+    number of factors, and each factor u of g is the product over c in
+    GF(p) of gcd(u, v - c).  Splitting by every basis vector in turn
+    separates all factors; no step is random.
     """
-    d = len(c) - 1
+    d = len(g) - 1
+    fixed = (_frobenius_matrix(g, p) - np.eye(d, dtype=np.int64)) % p
+    kernel = _nullspace_mod(fixed.tolist(), p)
+    factors = [g]
+    for v in kernel:
+        if len(factors) == len(kernel):
+            break
+        split = []
+        for u in factors:
+            if len(u) == 2:
+                split.append(u)
+                continue
+            for c in range(p):
+                common = _gcd_mod(u, _reduce_mod([v[0] - c] + v[1:], p), p)
+                if len(common) > 1:
+                    split.append(_monic_mod(common, p))
+        factors = split
+    return factors
+
+
+def _bezout_mod(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
+    """s, t over GF(p) with s g + t h = 1, deg s < deg h and deg t < deg g,
+    for coprime g and h (extended Euclid)."""
+    r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
+        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    inv = pow(r0[0], -1, p)  # r0 is a nonzero constant
+    return _reduce_mod([x * inv for x in s0], p), _reduce_mod([x * inv for x in t0], p)
+
+
+def _hensel_lift(f: list[int], g: list[int], p: int, modulus: int) -> tuple[list[int], int]:
+    """The monic factor of the monic integer f modulo p^(2^j) > modulus
+    that reduces to g modulo p, and p^(2^j); f = g * (f / g) modulo p with
+    coprime factors.
+
+    Quadratic Hensel lifting (von zur Gathen and Gerhard, Algorithm 15.10):
+    each step squares the modulus m and lifts the Bezout pair with it.
+    """
+    h = _divmod_mod(_reduce_mod(f, p), g, p)[0]
+    s, t = _bezout_mod(g, h, p)
+    m = p
+    while m <= modulus:
+        m *= m
+        e = _sub_mod(f, _mul_mod(g, h, m), m)
+        q, r = _divmod_mod(_mul_mod(s, e, m), h, m)
+        g = _add_mod([g, _mul_mod(t, e, m), _mul_mod(q, g, m)], m)
+        h = _add_mod([h, r], m)
+        b = _add_mod([_mul_mod(s, g, m), _mul_mod(t, h, m), [-1]], m)
+        c, d = _divmod_mod(_mul_mod(s, b, m), h, m)
+        s = _sub_mod(s, d, m)
+        t = _sub_mod(_sub_mod(t, _mul_mod(t, b, m), m), _mul_mod(c, g, m), m)
+    return g, m
+
+
+def _exact_quotient(f: list[int], h: list[int]) -> list[int] | None:
+    """f / h over the integers for monic h, or None when h does not divide f."""
+    dh = len(h) - 1
+    rem, q = list(f), [0] * (len(f) - dh)
+    for s in range(len(f) - 1 - dh, -1, -1):
+        q[s] = rem[s + dh]
+        rem[s : s + dh] = [r - q[s] * y for r, y in zip(rem[s : s + dh], h)]
+    return q if not any(rem[:dh]) else None
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1."""
+    lo, hi = 1, 1 << (n.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**k <= n else (lo, mid - 1)
+    return lo
+
+
+def _integer_monic(c: list[Fraction]) -> tuple[list[int], int]:
+    """Ascending coefficients of the monic integer D^d c(y / D) and D, for
+    the monic rational c of degree d.  D^k must clear the denominator of
+    the coefficient of x^(d-k); its k-th root does when it is an integer."""
+    scale = 1
+    for k, v in enumerate(c[1:], start=1):
+        den, root = v.denominator, _iroot(v.denominator, k)
+        scale = math.lcm(scale, root if root**k == den else den)
+    return [int(v * scale**k) for k, v in reversed(list(enumerate(c)))], scale
+
+
+def _degrees_mod_primes(c: list[Fraction]):
+    """(p, factor degrees of c mod p) for each prime of PROOF_PRIMES that
+    divides no denominator of c and leaves c squarefree mod p."""
     den = math.lcm(*(v.denominator for v in c))
     ints = [v.numerator * (den // v.denominator) for v in reversed(c)]
-    open_degrees = (1 << d) - 2  # bit k: a factor of degree k not ruled out
     for p in PROOF_PRIMES:
         if den % p == 0:
             continue
@@ -283,13 +435,100 @@ def _proven_irreducible(c: list[Fraction]) -> bool:
         derivative = _reduce_mod([k * v for k, v in enumerate(g)][1:], p)
         if len(_gcd_mod(g, derivative, p)) > 1:
             continue  # not squarefree mod p: distinct-degree factorization does not apply
-        sums = 1  # bit k: some subset of the degrees mod p sums to k
-        for k in _factor_degrees_mod(g, p):
-            sums |= sums << k
-        open_degrees &= sums
+        yield p, _factor_degrees_mod(g, p)
+
+
+def _subset_sums(degrees: list[int]) -> int:
+    """Bit k set when some subset of the degrees sums to k."""
+    sums = 1
+    for k in degrees:
+        sums |= sums << k
+    return sums
+
+
+def _prime_scan(c: list[Fraction]) -> tuple[int, int | None]:
+    """The degrees a factor of the monic rational c over Q may still have
+    (bit k for degree k), and the prime of fewest factors mod p among those
+    scanned (None when no prime was usable).
+
+    Cleared of denominators, c is an integer polynomial of the same degree
+    d modulo any prime p not dividing its leading coefficient, and a factor
+    of degree k over Q would reduce to a product of factors mod p whose
+    degrees sum to k.  So a prime at which c is squarefree rules out every
+    k that no subset of c's factor degrees there sums to, and once all of
+    1..d-1 are ruled out, c is irreducible and the scan stops.
+    """
+    open_degrees, best, fewest = (1 << (len(c) - 1)) - 2, None, len(c)
+    for p, degrees in _degrees_mod_primes(c):
+        open_degrees &= _subset_sums(degrees)
+        if len(degrees) < fewest:
+            best, fewest = p, len(degrees)
         if not open_degrees:
-            return True
-    return False
+            break
+    return open_degrees, best
+
+
+def _proven_irreducible(c: list[Fraction]) -> bool:
+    """True when the monic rational c is proven irreducible over Q by its
+    factor degrees modulo the primes of PROOF_PRIMES (`_prime_scan`).
+    False means not proven, not reducible."""
+    return not _prime_scan(c)[0]
+
+
+def _squarefree_parts(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
+    """(s_i, i) with c the product of the s_i^i, each s_i monic, squarefree
+    and of positive degree, pairwise coprime (Musser's algorithm over Q)."""
+    repeated = _pgcd(c, _pderiv(c))
+    distinct = _pdivmod(c, repeated)[0]
+    out, i = [], 1
+    while len(distinct) > 1:
+        deeper = _pgcd(distinct, repeated)
+        part = _pdivmod(distinct, deeper)[0]
+        if len(part) > 1:
+            out.append((part, i))
+        distinct, repeated, i = deeper, _pdivmod(repeated, deeper)[0], i + 1
+    return out
+
+
+def _zassenhaus(s: list[Fraction]) -> list[list[Fraction]] | None:
+    """The monic irreducible factors over Q of the monic squarefree s, or
+    None when no prime of PROOF_PRIMES leaves it squarefree.
+
+    `_prime_scan` settles the irreducible s it can prove so.  Otherwise,
+    Zassenhaus: s becomes the monic integer G = D^d s(y / D); G is factored
+    modulo the prime with the fewest factors there, each factor is lifted
+    to a modulus past twice Mignotte's bound 2^d ||G||_2 on the coefficients
+    of any factor of G, and products of the lifted factors, fewest first,
+    are tried as exact divisors of G; only products of a degree the scan
+    left open can divide.
+    """
+    open_degrees, p = _prime_scan(s)
+    if not open_degrees:
+        return [s]
+    if p is None:
+        return None
+    d = len(s) - 1
+    g, scale = _integer_monic(s)
+    bound = 2 ** (d + 1) * (math.isqrt(sum(v * v for v in g)) + 1)
+    lifted = []
+    for u in _factor_mod(_reduce_mod(g, p), p):
+        factor, modulus = _hensel_lift(g, u, p, bound)
+        lifted.append(_symmetric(factor, modulus))
+    found, rest, size = [], list(range(len(lifted))), 1
+    while 2 * size <= len(rest):
+        for subset in itertools.combinations(rest, size):
+            h = [1]
+            for i in subset:
+                h = _mul_mod(h, lifted[i], modulus)
+            h = _symmetric(h, modulus)
+            if open_degrees >> (len(h) - 1) & 1 and (quotient := _exact_quotient(g, h)) is not None:
+                found.append(h)
+                g, rest = quotient, [i for i in rest if i not in subset]
+                break
+        else:
+            size += 1
+    found.append(g)
+    return [[Fraction(h[j], scale ** (len(h) - 1 - j)) for j in reversed(range(len(h)))] for h in found]
 
 
 def _sympy_factors(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
@@ -305,20 +544,37 @@ def _sympy_factors(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     return out
 
 
+def _factor_over_q(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
+    """c by `_zassenhaus`, or, when no prime reduces c squarefree (always so
+    with a repeated factor), its squarefree parts each by `_zassenhaus`;
+    sympy only for a part no prime of PROOF_PRIMES reduces squarefree, and
+    then for all of c."""
+    factors = _zassenhaus(c)
+    if factors is not None:
+        return [(f, 1) for f in factors]
+    out = []
+    for part, e in _squarefree_parts(c):
+        factors = [part] if len(part) == 2 else _zassenhaus(part)
+        if factors is None:
+            return _sympy_factors(c)
+        out += [(f, e) for f in factors]
+    return out
+
+
 def factor_prime_powers(f: Polynomial) -> list[tuple[Polynomial, int]]:
     """Factor a monic rational polynomial into (prime, exponent) pairs.
 
     Pure powers of a linear or irreducible quadratic factor are matched
     directly, and a polynomial proven irreducible by its factor degrees
-    modulo small primes is its own factorization.  Only what neither
-    settles goes through sympy's factorization over Q, which is imported
-    then.  Pairs are sorted by degree, then coefficients, and their product
-    is checked to reproduce f on every route.
+    modulo small primes is its own factorization.  The rest is factored by
+    Zassenhaus's algorithm at one of those primes, after a split into
+    squarefree parts when it has repeated factors.  sympy's factorization
+    over Q, imported then, is left for a part that none of the primes
+    reduces squarefree.  Pairs are sorted by degree, then coefficients, and
+    their product is checked to reproduce f on every route.
     """
     c = _coeffs(f)
-    hit = _linear_power(c) or _quadratic_power(c)
-    if hit is None:
-        hit = [(c, 1)] if _proven_irreducible(c) else _sympy_factors(c)
+    hit = _linear_power(c) or _quadratic_power(c) or _factor_over_q(c)
     out = sorted(
         ((Polynomial.from_monic_coeffs(p), e) for p, e in hit),
         key=lambda pe: (pe[0].m, tuple(pe[0].a)),

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,10 @@ from coninv.exactcanon import (
     _coeffs,
     _components,
     _divmod_mod,
+    _factor_degrees_mod,
+    _factor_mod,
+    _hensel_lift,
+    _integer_monic,
     _pdivmod,
     _pmul,
     _proven_irreducible,
@@ -405,7 +411,8 @@ def test_polynomial_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# factorization: the proof of irreducibility modulo small primes, against sympy
+# factorization: the proof of irreducibility modulo small primes and
+# Zassenhaus's algorithm, against sympy
 # ---------------------------------------------------------------------------
 
 
@@ -445,9 +452,63 @@ def factor_products(draw):
 @given(factor_products())
 def test_factorization_matches_sympy(c):
     expected = sympy_factors(c)
-    assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == expected
+    with mock.patch.object(exactcanon, "_sympy_factors", side_effect=AssertionError("sympy route taken")):
+        assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == expected
     if len(expected) > 1 or expected[0][1] > 1:
         assert not _proven_irreducible(c)
+
+
+def squarefree_mod(p, coeffs):
+    """Ascending monic coefficients mod p made squarefree, or None."""
+    g = [v % p for v in coeffs] + [1]
+    derivative = [k * v % p for k, v in enumerate(g)][1:]
+    while derivative and derivative[-1] == 0:
+        derivative.pop()
+    if not derivative or len(exactcanon._gcd_mod(g, derivative, p)) > 1:
+        return None
+    return g
+
+
+@given(st.sampled_from([2, 3, 5, 113]), st.lists(st.integers(0, 200), min_size=1, max_size=12))
+def test_factor_mod_gives_the_irreducible_factors(p, coeffs):
+    g = squarefree_mod(p, coeffs)
+    if g is None:
+        return
+    factors = _factor_mod(g, p)
+    product = [1]
+    for u in factors:
+        assert u[-1] == 1 and _factor_degrees_mod(u, p) == [len(u) - 1]
+        product = exactcanon._mul_mod(product, u, p)
+    assert product == g
+    assert sorted(len(u) - 1 for u in factors) == sorted(_factor_degrees_mod(g, p))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        [F(1), F(-10, 3), F(-1585, 36), F(1013, 4), F(-3161, 9)],
+        [F(1), F(0), F(-10), F(0), F(1)],
+        [F(1), F(1, 2**40), F(-7, 3), F(2), F(5, 7), F(-1)],
+    ],
+)
+def test_hensel_lift_reproduces_the_integer_polynomial(c):
+    g, scale = _integer_monic(c)
+    d = len(c) - 1
+    assert [F(x * scale**k, scale**d) for k, x in enumerate(g)] == c[::-1]
+    used = 0
+    for p in (5, 7, 11):
+        gp = exactcanon._reduce_mod(g, p)
+        if squarefree_mod(p, gp[:-1]) is None:
+            continue
+        used += 1
+        modulus, product = 10**40, [1]
+        for u in _factor_mod(gp, p):
+            lifted, m = _hensel_lift(g, u, p, modulus)
+            assert m > modulus and p ** round(math.log(m, p)) == m
+            assert exactcanon._reduce_mod(lifted, p) == u and lifted[-1] == 1
+            product = exactcanon._mul_mod(product, lifted, m)
+        assert product == exactcanon._reduce_mod(g, m)
+    assert used
 
 
 @given(
@@ -483,7 +544,8 @@ def test_divmod_mod_of_a_shorter_dividend():
 
 #: irreducible over Q but reducible modulo every prime, so no set of primes
 #: proves them irreducible; and the minimal polynomial of a `real-exact`
-#: benchmark input, (x - 4) times an irreducible cubic
+#: benchmark input, (x - 4) times an irreducible cubic.  Zassenhaus settles
+#: all four without sympy
 GIVE_UP_CASES = {
     "x^4+1": [1, 0, 0, 0, 1],
     "x^4-10x^2+1": [1, 0, -10, 0, 1],
@@ -502,7 +564,24 @@ def test_prover_gives_up_within_its_cap(name, monkeypatch):
     assert not _proven_irreducible(c)
     assert 0 < len(primes) <= len(exactcanon.PROOF_PRIMES)
     assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == sympy_factors(c)
-    assert len(fallbacks) == 1
+    assert not fallbacks
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        [1, 0, 0, 0, 1],  # x^4 + 1 is (x + 1)^4 mod 2
+        [1, -8, 22, -24, 9],  # (x - 1)^2 (x - 3)^2: no prime reduces a repeated factor squarefree
+    ],
+)
+def test_sympy_only_without_a_squarefree_prime(c, monkeypatch):
+    c = [F(v) for v in c]
+    fallbacks, fallback = [], exactcanon._sympy_factors
+    monkeypatch.setattr(exactcanon, "PROOF_PRIMES", (2,))
+    monkeypatch.setattr(exactcanon, "_sympy_factors", lambda c: fallbacks.append(c) or fallback(c))
+    assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == sympy_factors(c)
+    # (x - 1)^2 (x - 3)^2 is the square of (x - 1)(x - 3), which is (x + 1)^2 mod 2
+    assert fallbacks == [c]
 
 
 #: a generic rational 6 x 6; its minimal polynomial is an irreducible sextic
@@ -531,6 +610,32 @@ def test_thm1a_cold_start_leaves_sympy_unloaded():
         "from fractions import Fraction\n"
         "import coninv\n"
         f"a = coninv.Matrix.exact([[Fraction(v) for v in row] for row in {GENERIC_6!r}])\n"
+        "coninv.involutory_diagonalizable_split(a)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = run_cold("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+#: the small-rational 4 x 4 of `real-exact` seed 8, round 81: its minimal
+#: polynomial is (x - 4) times an irreducible cubic
+REDUCIBLE_4 = [
+    ["2", "2", "-2/3", "-7"],
+    ["1/2", "7/2", "4", "-8/3"],
+    ["-5/3", "5/3", "-5/3", "-4"],
+    ["-7/2", "7/2", "-4", "-1/2"],
+]
+
+
+def test_thm1a_on_a_reducible_minimal_polynomial_leaves_sympy_unloaded():
+    mp = minimal_polynomial(Matrix.exact([[F(v) for v in row] for row in REDUCIBLE_4]))
+    assert [(p.m, e) for p, e in factor_prime_powers(mp)] == [(1, 1), (3, 1)]
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import coninv\n"
+        f"a = coninv.Matrix.exact([[Fraction(v) for v in row] for row in {REDUCIBLE_4!r}])\n"
         "coninv.involutory_diagonalizable_split(a)\n"
         "print('sympy' in sys.modules)\n"
     )
