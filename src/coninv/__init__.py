@@ -45,7 +45,6 @@ from .exactcanon import (
     involutory_split_companion,
     is_squarefree,
     minimal_polynomial,
-    poly_gcd,
     poly_mul,
 )
 from .matcore import (

@@ -21,8 +21,10 @@ from .matcore import (
     Matrix,
     PathwayMismatch,
     Polynomial,
+    _eliminate,
     _integer_grid,
     _rref,
+    _scatter,
     direct_sum,
 )
 
@@ -90,14 +92,6 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial.from_monic_coeffs(_pmul(_coeffs(f), _coeffs(g)))
 
 
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Monic gcd; None when the gcd is the constant 1."""
-    d = _pgcd(_coeffs(f), _coeffs(g))
-    if len(d) == 1:
-        return None
-    return Polynomial.from_monic_coeffs(d)
-
-
 def is_squarefree(f: Polynomial) -> bool:
     c = _coeffs(f)
     return len(_pgcd(c, _pderiv(c))) == 1
@@ -161,15 +155,28 @@ def _is_rational_square(x: Fraction) -> bool:
     return pn * pn == x.numerator and pd * pd == x.denominator
 
 
+def _is_power(c: list[Fraction], q: list[Fraction], k: int) -> bool:
+    """Whether the monic c is q^k, for a monic q with deg c = k deg q.
+
+    Read in reverse, q^k is the power Q^k of a series with Q(0) = 1, whose
+    coefficients follow n P_n = sum_i ((k + 1) i - n) Q_i P_(n-i) (J. C. P.
+    Miller's recurrence; the binomial expansion when q is linear).  So the
+    coefficients are compared one at a time, and the first mismatch ends the
+    comparison: a generic c fails within a few terms.
+    """
+    p = [Fraction(1)]
+    for n in range(1, len(c)):
+        term = sum(((k + 1) * i - n) * q[i] * p[n - i] for i in range(1, min(n, len(q) - 1) + 1)) / n
+        if term != c[n]:
+            return False
+        p.append(term)
+    return True
+
+
 def _linear_power(c: list[Fraction]) -> list[tuple[list[Fraction], int]] | None:
     m = len(c) - 1
-    root = -c[1] / m
-    probe = [Fraction(1)]
-    for _ in range(m):
-        probe = _pmul(probe, [Fraction(1), -root])
-    if probe == c:
-        return [([Fraction(1), -root], m)]
-    return None
+    q = [Fraction(1), c[1] / m]
+    return [(q, m)] if _is_power(c, q, m) else None
 
 
 def _quadratic_power(c: list[Fraction]) -> list[tuple[list[Fraction], int]] | None:
@@ -180,14 +187,9 @@ def _quadratic_power(c: list[Fraction]) -> list[tuple[list[Fraction], int]] | No
     u = c[1] / k
     v = (c[2] - Fraction(k * (k - 1), 2) * u * u) / k
     q = [Fraction(1), u, v]
-    if _is_rational_square(u * u - 4 * v):
-        return None  # reducible quadratic; let the general factorizer split it
-    probe = [Fraction(1)]
-    for _ in range(k):
-        probe = _pmul(probe, q)
-    if probe == c:
-        return [(q, k)]
-    return None
+    if not _is_power(c, q, k) or _is_rational_square(u * u - 4 * v):
+        return None  # not a power, or of a reducible quadratic the general factorizer splits
+    return [(q, k)]
 
 
 # Polynomials modulo m below are lists of ints in [0, m), in ascending
@@ -597,13 +599,13 @@ def _exact_nullspace(m: Matrix) -> list[list[Fraction]]:
     """Basis of the right nullspace over Q (list of length-n vectors)."""
     n = m.n
     rows = [list(r) for r in m._d]
-    pivots = _rref(rows, n)
+    pivots = _eliminate(rows, n)
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][fc]
+            v[pc] = Fraction(-rows[ri][fc], rows[ri][pc])
         basis.append(v)
     return basis
 
@@ -666,7 +668,7 @@ def _standard_spins(a: Matrix, degree: int) -> tuple[list[Fraction], list[tuple[
     a basis.
     """
     n = a.n
-    grid = _integer_grid(a._d)
+    grid = (a._d, a._den)
     spins = []
     for i in range(n):
         order, chain = _vector_order(grid, [int(j == i) for j in range(n)])
@@ -729,31 +731,32 @@ def _components(a: Matrix) -> list[list[int]]:
 
 
 def _submatrix(a: Matrix, idx: list[int]) -> Matrix:
-    return Matrix.exact([[a._d[i][j] for j in idx] for i in idx])
+    return Matrix._grid([[a._d[i][j] for j in idx] for i in idx], a._den)
 
 
-def _solve_sylvester_exact(c: Matrix, y: Matrix, x: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve C Z - Z Y = -X over Q for the d x r rows Z, given the d x r rows
-    X (consistency is guaranteed by the caller)."""
-    d, r = c.n, y.n
+def _solve_sylvester_exact(c, y, x) -> list[list[Fraction]]:
+    """Solve C Z - Z Y = -X over Q for the d x r rows Z, given the integer
+    rows of the d x d C, the r x r Y and the d x r X over one common
+    denominator, which cancels (consistency is guaranteed by the caller)."""
+    d, r = len(c), len(y)
     nunk = d * r
     # row-major vec: vec(C Z) = kron(C, I) z ; vec(Z Y) = kron(I, Y^T) z
-    rows = [[Fraction(0)] * (nunk + 1) for _ in range(nunk)]
+    rows = [[0] * (nunk + 1) for _ in range(nunk)]
     for i in range(d):
         for j in range(r):
             eq = rows[i * r + j]
             for k in range(d):
-                eq[k * r + j] += c._d[i][k]
+                eq[k * r + j] += c[i][k]
             for k in range(r):
-                eq[i * r + k] -= y._d[k][j]
+                eq[i * r + k] -= y[k][j]
             eq[nunk] = -x[i][j]
-    # RREF of [M | b], then the particular solution with zero free unknowns
-    pivots = _rref(rows, nunk)
-    if any(row[nunk] != 0 for row in rows[len(pivots) :]):
+    # echelon form of [M | b], then the particular solution with zero free unknowns
+    pivots = _eliminate(rows, nunk)
+    if any(row[nunk] for row in rows[len(pivots) :]):
         raise ArithmeticError("inconsistent Sylvester system")
     z = [Fraction(0)] * nunk
     for ri, col in enumerate(pivots):
-        z[col] = rows[ri][nunk]
+        z[col] = Fraction(rows[ri][nunk], rows[ri][col])
     return [z[i * r : (i + 1) * r] for i in range(d)]
 
 
@@ -772,22 +775,28 @@ def _cyclic_blocks(
         raise ValueError("empty block")
     f, chain = max(spins, key=lambda s: s[0].m)
     d = f.m
-    cols = [[Fraction(x, den**j) for x in u] for j, u in enumerate(chain)]
+    # the chain A^j v = U_j / den^j as integer rows over den^(d-1)
+    top = den ** (d - 1)
+    powers = [den ** (d - 1 - j) for j in range(d)]
+    chain_rows = [[u[i] * c for u, c in zip(chain, powers)] for i in range(n)]
     if d == n:
-        return Matrix.exact([[col[i] for col in cols] for i in range(n)]), [f]
+        return Matrix._grid(chain_rows, top), [f]
     # the pivot columns of [chain | I] past the chain complete the chain
     # greedily with standard vectors to a basis P, and the right half of the
-    # reduced [chain | I] is then P^{-1}
-    aug = [[col[i] for col in cols] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    extra = [c - d for c in _rref(aug, d + n)[d:]]
-    p = Matrix.exact([[col[i] for col in cols] + [Fraction(int(i == j)) for j in extra] for i in range(n)])
-    b = Matrix.exact([row[d:] for row in aug]) @ m @ p
-    if any(b._d[i][j] != 0 for i in range(d, n) for j in range(d)):
+    # reduced [chain | I] is then P^{-1} (the rows are scaled by den^(d-1),
+    # which leaves the reduced form as it is)
+    aug = [row + [top * int(i == j) for j in range(n)] for i, row in enumerate(chain_rows)]
+    pivots = _eliminate(aug, d + n)
+    extra = [c - d for c in pivots[d:]]
+    p = Matrix._grid([row + [top * int(i == j) for j in extra] for i, row in enumerate(chain_rows)], top)
+    p_inv = Matrix._rows_over([row[d:] for row in aug], [row[c] for row, c in zip(aug, pivots)])
+    b = p_inv @ m @ p
+    upper, lower = b._d[:d], b._d[d:]
+    if any(x for row in lower for x in row[:d]):
         raise ArithmeticError("Krylov span was not invariant")
-    c_blk = Matrix.exact([row[:d] for row in b._d[:d]])
-    x_blk = [list(row[d:]) for row in b._d[:d]]
-    y_blk = Matrix.exact([row[d:] for row in b._d[d:]])
-    z = _solve_sylvester_exact(c_blk, y_blk, x_blk)
+    y_rows = [row[d:] for row in lower]
+    z = _solve_sylvester_exact([row[:d] for row in upper], y_rows, [row[d:] for row in upper])
+    y_blk = Matrix._grid(y_rows, b._den)
     # [[I, Z],[0, I]] absorbs the coupling block
     t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(d):
@@ -811,8 +820,9 @@ def frobenius_form(a: Matrix) -> FrobeniusForm:
     n = a.n
     comps = _components(a)
     blocks: list[Polynomial] = []
-    # global Q assembled column-wise: A Q = Q (direct sum)
-    q_cols: list[list[Fraction]] = []
+    # global Q assembled column-wise, A Q = Q (direct sum): for each primary
+    # block, its rows (the component's), its columns, and its grid there
+    pieces, off = [], 0
     for comp in comps:
         sub = _submatrix(a, comp)
         mp, spins, den = _standard_spins(sub, sub.n)
@@ -827,20 +837,16 @@ def frobenius_form(a: Matrix) -> FrobeniusForm:
                 primary = _restrict(sub, kernel)
                 _, spins, den = _standard_spins(primary, prime.m * exp)
             q_sub, fblocks = _cyclic_blocks(primary, spins, den)
+            # embed: primary coords -> component coords (the kernel basis) -> global coords
+            grid, q_den = q_sub._d, q_sub._den
+            if kernel is not None:
+                basis, basis_den = _integer_grid(list(zip(*kernel)))
+                grid = [[sum(map(mul, row, col)) for col in zip(*grid)] for row in basis]
+                q_den *= basis_den
+            pieces.append((comp, range(off, off + q_sub.n), grid, q_den))
+            off += q_sub.n
             blocks.extend(fblocks)
-            # embed: primary coords -> component coords -> global coords
-            for col in range(q_sub.n):
-                vec_comp = [q_sub._d[i][col] for i in range(q_sub.n)]
-                if kernel is not None:
-                    vec_comp = [
-                        sum(kernel[k][i] * vec_comp[k] for k in range(len(kernel)))
-                        for i in range(len(comp))
-                    ]
-                g = [Fraction(0)] * n
-                for local, glob in enumerate(comp):
-                    g[glob] = vec_comp[local]
-                q_cols.append(g)
-    q = Matrix.exact([[q_cols[c][i] for c in range(n)] for i in range(n)])
+    q = _scatter(n, pieces)
     s = q.inverse()
     form = FrobeniusForm(blocks=blocks, S=s, S_inv=q)
     if (s @ a) != (form.companion_sum() @ s):
@@ -861,8 +867,7 @@ def _restrict(a: Matrix, basis: list[list[Fraction]]) -> Matrix:
     k = len(basis)
     # RREF of [B | A B] for the n x k basis matrix B: its top k rows are [I | X]
     # with B X = A B
-    grid = _integer_grid(a._d)
-    imgs = [_apply(grid, b) for b in basis]
+    imgs = [_apply((a._d, a._den), b) for b in basis]
     aug = [[b[i] for b in basis] + [img[i] for img in imgs] for i in range(a.n)]
     if len(_rref(aug, k)) < k:
         raise ArithmeticError("basis columns are dependent")
@@ -1005,23 +1010,22 @@ def involutory_diagonalizable_split(a: Matrix, reserved=()) -> ExactSplit:
         raise PathwayMismatch("exact pathway required")
     used: set[Fraction] = {Fraction(x) for x in reserved}
     if a.n == 1:
-        g, d, r, spectrum = _split_block(Polynomial((a._d[0][0],)), used)
+        g, d, r, spectrum = _split_block(Polynomial((a[0, 0],)), used)
         return ExactSplit(V=g, D=d, W=r, spectrum=spectrum)
     comps = _components(a)
     if len(comps) > 1:
         return _split_by_components(a, comps, reserved)
     form = frobenius_form(a)
-    v_blocks, d_blocks, w_blocks, spectrum = [], [], [], []
+    v_blocks, w_blocks, spectrum = [], [], []
     for f in form.blocks:
-        g, d, r, values = _split_block(f, used)
+        g, _, r, values = _split_block(f, used)
         v_blocks.append(g)
-        d_blocks.append(d)
         w_blocks.append(r)
         spectrum.extend(values)
         used.update(values)
     s_inv = form.S_inv
     v = s_inv @ direct_sum(*v_blocks) @ form.S
-    d = s_inv @ direct_sum(*d_blocks) @ form.S
+    d = a - v
     w = s_inv @ direct_sum(*w_blocks)
     if v + d != a:
         raise ArithmeticError("split does not reconstruct the input")  # pragma: no cover
@@ -1032,23 +1036,19 @@ def _split_by_components(a: Matrix, comps: list[list[int]], reserved) -> ExactSp
     """Per-component recursion scattered back in place; direct-sum structure
     makes the global conjugations unnecessary."""
     n = a.n
-    zero = Fraction(0)
-    v_g = [[zero] * n for _ in range(n)]
-    d_g = [[zero] * n for _ in range(n)]
-    w_g = [[zero] * n for _ in range(n)]
-    spectrum: list[Fraction] = [zero] * n
+    splits = []
+    spectrum: list[Fraction] = [Fraction(0)] * n
     used: set[Fraction] = {Fraction(x) for x in reserved}
     for comp in comps:
-        sub = _submatrix(a, comp)
-        sp = involutory_diagonalizable_split(sub, reserved=tuple(used))
+        sp = involutory_diagonalizable_split(_submatrix(a, comp), reserved=tuple(used))
         for li, gi in enumerate(comp):
             spectrum[gi] = sp.spectrum[li]
-            for lj, gj in enumerate(comp):
-                v_g[gi][gj] = sp.V._d[li][lj]
-                d_g[gi][gj] = sp.D._d[li][lj]
-                w_g[gi][gj] = sp.W._d[li][lj]
+        splits.append(sp)
         used.update(sp.spectrum)
-    v, d, w = Matrix.exact(v_g), Matrix.exact(d_g), Matrix.exact(w_g)
+    v, d, w = (
+        _scatter(n, [(comp, comp, m._d, m._den) for comp, m in zip(comps, parts)])
+        for parts in zip(*((sp.V, sp.D, sp.W) for sp in splits))
+    )
     if v + d != a:
         raise ArithmeticError("split does not reconstruct the input")  # pragma: no cover
     return ExactSplit(V=v, D=d, W=w, spectrum=tuple(spectrum))

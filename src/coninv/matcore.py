@@ -1,16 +1,22 @@
 """Dense square-matrix arithmetic over complex floats and exact rationals.
 
 One carrier type, two pathways.  ``floating`` wraps a complex128 numpy
-array; ``exact`` wraps a grid of :class:`fractions.Fraction` (real
-rationals, never rounded).  The exact pathway is what the canonical-form
-machinery runs on; the floating pathway carries everything consimilarity
-related.  Spectral primitives (eigenvalues, numerical nullspace, rank) are
+array; ``exact`` holds a real rational matrix, never rounded, as one
+primitive integer grid over a positive common denominator.  The exact
+kernels (products, sums, equality, the Gauss-Jordan elimination of
+``inverse``) run on Python integers; :class:`fractions.Fraction` appears
+only at the edges: entry access, ``rows()``, ``Matrix.exact`` input and the
+JSON wire format.  The exact pathway is what the canonical-form machinery
+runs on; the floating pathway carries everything consimilarity related.
+Spectral primitives (eigenvalues, numerical nullspace, rank) are
 floating-only and backed by LAPACK through numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -133,32 +139,22 @@ def _as_fraction(x) -> Fraction:
     raise PathwayMismatch(f"exact pathway requires rational entries, got {x!r}")
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan over Q, in place: bring the first `ncols` columns of
-    `rows` to reduced row echelon form, carrying any later columns along.
+def _eliminate(ints: list[list[int]], ncols: int, scales: list[Fraction] | None = None) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place: bring the
+    first `ncols` columns to reduced row echelon form up to a pivot per
+    row, carrying any later columns along.
 
-    Returns the pivot columns.  Pivot k sits in row k and is 1.  The rows
-    past the last pivot are zero on the first `ncols` columns, and their
-    later columns hold, exactly, what the elimination left there: the
-    combination of the input rows that cancels their first `ncols` columns.
-
-    The rows are reduced as primitive integer vectors: each row's
-    denominators are cleared once, an update is a*row - b*pivot_row with
-    (a, b) = (p, f) / gcd(p, f) for the pivot p and the row's entry f, and
-    the row's content is divided out after each update, so the integers
-    stay the size of the reduced fractions.  A rational scale per row keeps
-    the rows past the last pivot exact; the pivot rows are divided by their
-    pivots only at the end.
+    Returns the pivot columns.  Pivot k sits in row k as the integer
+    ``ints[k][col_k]``, and its row is zero on the other pivot columns, so
+    dividing the row by that pivot gives the reduced row.  An update is
+    a*row - b*pivot_row with (a, b) = (p, f) / gcd(p, f) for the pivot p and
+    the row's entry f, and the row's content is divided out after each
+    update, so the integers stay the size of the reduced fractions.  With
+    `scales`, the rational factor of each row past the current pivot is kept
+    up to date (scales[i] * ints[i] stays the row the Fraction elimination
+    would hold).
     """
-    nrows = len(rows)
-    ints: list[list[int]] = []
-    scales: list[Fraction] = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        irow = [x.numerator * (den // x.denominator) for x in row]
-        g = math.gcd(*irow) or 1
-        ints.append([x // g for x in irow] if g > 1 else irow)
-        scales.append(Fraction(g, den))
+    nrows = len(ints)
     pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
@@ -168,7 +164,8 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
         if piv is None:
             continue
         ints[r], ints[piv] = ints[piv], ints[r]
-        scales[r], scales[piv] = scales[piv], scales[r]
+        if scales is not None:
+            scales[r], scales[piv] = scales[piv], scales[r]
         prow = ints[r]
         p = prow[col]
         for i in range(nrows):
@@ -179,32 +176,67 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
                 row = [a * x - b * y for x, y in zip(ints[i], prow)]
                 c = math.gcd(*row) or 1
                 ints[i] = [x // c for x in row] if c > 1 else row
-                if i > r:
+                if scales is not None and i > r:
                     scales[i] = scales[i] * c / a
         pivots.append(col)
+    return pivots
+
+
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan over Q, in place: bring the first `ncols` columns of
+    `rows` to reduced row echelon form, carrying any later columns along.
+
+    Returns the pivot columns.  Pivot k sits in row k and is 1.  The rows
+    past the last pivot are zero on the first `ncols` columns, and their
+    later columns hold, exactly, what the elimination left there: the
+    combination of the input rows that cancels their first `ncols` columns.
+
+    Each row's denominators are cleared once and its content divided out,
+    `_eliminate` reduces the primitive integer rows, and a rational scale
+    per row keeps the rows past the last pivot exact; the pivot rows are
+    divided by their pivots only at the end.
+    """
+    ints: list[list[int]] = []
+    scales: list[Fraction] = []
+    for row in rows:
+        (irow,), den = _integer_grid([row])
+        g = math.gcd(*irow) or 1
+        ints.append([x // g for x in irow] if g > 1 else irow)
+        scales.append(Fraction(g, den))
+    pivots = _eliminate(ints, ncols, scales)
     for k, col in enumerate(pivots):
         p = ints[k][col]
         rows[k] = [Fraction(x, p) for x in ints[k]]
-    for i in range(len(pivots), nrows):
+    for i in range(len(pivots), len(rows)):
         rows[i] = [scales[i] * x for x in ints[i]]
     return pivots
 
 
 def _integer_grid(grid) -> tuple[list[list[int]], int]:
-    """Integer rows and a common denominator whose quotient is `grid`."""
+    """Integer rows and a common denominator whose quotient is the Fraction
+    `grid`.  For reduced Fractions the pair is already canonical: no prime
+    of the denominator divides every entry."""
     den = math.lcm(*(x.denominator for row in grid for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in grid], den
 
 
 class Matrix:
-    """Square matrix; ``pathway`` is ``"exact"`` or ``"floating"``."""
+    """Square matrix; ``pathway`` is ``"exact"`` or ``"floating"``.
 
-    __slots__ = ("n", "pathway", "_d")
+    A floating matrix holds a complex128 array in ``_d``.  An exact matrix
+    holds the integer rows ``_d`` (a tuple of tuples) and the denominator
+    ``_den`` of A = _d / _den, kept canonical: _den > 0, gcd(_den, all
+    entries) = 1, and the zero matrix at _den = 1.  So equal exact matrices
+    have equal pairs.
+    """
 
-    def __init__(self, n: int, pathway: str, data):
+    __slots__ = ("n", "pathway", "_d", "_den")
+
+    def __init__(self, n: int, pathway: str, data, den: int | None = None):
         self.n = n
         self.pathway = pathway
         self._d = data
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
@@ -219,22 +251,39 @@ class Matrix:
 
     @classmethod
     def exact(cls, rows) -> "Matrix":
-        grid = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
+        grid = [[_as_fraction(x) for x in row] for row in rows]
         n = len(grid)
         if any(len(r) != n for r in grid):
             raise DimensionMismatch("expected square grid")
-        return cls(n, "exact", grid)
+        return cls._grid(*_integer_grid(grid))
+
+    @classmethod
+    def _grid(cls, rows, den: int) -> "Matrix":
+        """The exact matrix rows / den, for square integer rows and den > 0,
+        brought to the canonical pair by one joint gcd."""
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        if g > 1:
+            den //= g
+            return cls(len(rows), "exact", tuple(tuple(x // g for x in row) for row in rows), den)
+        return cls(len(rows), "exact", tuple(map(tuple, rows)), den)
+
+    @classmethod
+    def _rows_over(cls, rows, dens, num: int = 1) -> "Matrix":
+        """The exact matrix with row i = num * rows[i] / dens[i], for integer
+        rows and nonzero integers dens."""
+        den = math.lcm(*dens)
+        return cls._grid([[x * (num * den // q) for x in row] for row, q in zip(rows, dens)], den)
 
     @classmethod
     def identity(cls, n: int, pathway: str = "floating") -> "Matrix":
         if pathway == "exact":
-            return cls.exact([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+            return cls(n, "exact", tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
         return cls.floating(np.eye(n))
 
     @classmethod
     def zeros(cls, n: int, pathway: str = "floating") -> "Matrix":
         if pathway == "exact":
-            return cls.exact([[Fraction(0)] * n for _ in range(n)])
+            return cls(n, "exact", ((0,) * n,) * n, 1)
         return cls.floating(np.zeros((n, n)))
 
     @classmethod
@@ -251,18 +300,21 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         if self.pathway == "exact":
-            return self._d[i][j]
+            return Fraction(self._d[i][j], self._den)
         return complex(self._d[i, j])
 
     def rows(self) -> list:
         if self.pathway == "exact":
-            return [list(r) for r in self._d]
+            den = self._den
+            return [[Fraction(x, den) for x in r] for r in self._d]
         return [[complex(x) for x in row] for row in self._d]
 
     def to_array(self) -> np.ndarray:
-        """complex128 view of either pathway (copies)."""
+        """complex128 view of either pathway (copies); an exact entry is
+        the correctly rounded quotient of integers, as in ``float(Fraction)``."""
         if self.pathway == "exact":
-            return np.array([[float(x) for x in row] for row in self._d], dtype=np.complex128)
+            den = self._den
+            return np.array([[x / den for x in row] for row in self._d], dtype=np.complex128)
         return self._d.copy()
 
     def to_floating(self) -> "Matrix":
@@ -296,61 +348,56 @@ class Matrix:
         if self.pathway != other.pathway:
             raise PathwayMismatch(f"{self.pathway} vs {other.pathway}")
 
+    def _rescaled(self, other: "Matrix") -> tuple[int, int, int]:
+        """The lcm of the two denominators and the factors that bring each
+        exact operand's integer rows to it."""
+        den = math.lcm(self._den, other._den)
+        return den, den // self._den, den // other._den
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.pathway == "exact":
-            return Matrix(
-                self.n,
-                "exact",
-                tuple(
-                    tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._d, other._d)
-                ),
+            den, sa, sb = self._rescaled(other)
+            return Matrix._grid(
+                [[sa * x + sb * y for x, y in zip(ra, rb)] for ra, rb in zip(self._d, other._d)], den
             )
         return Matrix(self.n, "floating", self._d + other._d)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.pathway == "exact":
-            return Matrix(
-                self.n,
-                "exact",
-                tuple(
-                    tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._d, other._d)
-                ),
+            den, sa, sb = self._rescaled(other)
+            return Matrix._grid(
+                [[sa * x - sb * y for x, y in zip(ra, rb)] for ra, rb in zip(self._d, other._d)], den
             )
         return Matrix(self.n, "floating", self._d - other._d)
 
     def __neg__(self) -> "Matrix":
         if self.pathway == "exact":
-            return Matrix(self.n, "exact", tuple(tuple(-a for a in r) for r in self._d))
+            return Matrix(self.n, "exact", tuple(tuple(-x for x in r) for r in self._d), self._den)
         return Matrix(self.n, "floating", -self._d)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Matrix product; bit-exact on the exact pathway.
 
-        Exact operands are scaled once to integer grids by the lcm of their
-        denominators, so the dot products run on Python integers and each
-        output entry costs one gcd (in its ``Fraction``) instead of one per
-        term.
+        Exact operands are integer rows over a denominator, so the dot
+        products run on Python integers and the whole product costs one
+        joint gcd instead of one per entry.
         """
         self._check(other)
         n = self.n
         if self.pathway == "exact":
-            ia, da = _integer_grid(self._d)
-            ib, db = _integer_grid(other._d)
-            bcols = list(zip(*ib))
-            den = da * db
-            return Matrix(
-                n,
-                "exact",
-                tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in bcols) for row in ia),
+            bcols = list(zip(*other._d))
+            return Matrix._grid(
+                [[sum(map(mul, row, col)) for col in bcols] for row in self._d], self._den * other._den
             )
         return Matrix(n, "floating", self._d @ other._d)
 
     def __mul__(self, scalar) -> "Matrix":
         if self.pathway == "exact":
             s = _as_fraction(scalar)
-            return Matrix(self.n, "exact", tuple(tuple(s * a for a in r) for r in self._d))
+            p = s.numerator
+            return Matrix._grid([[p * x for x in r] for r in self._d], self._den * s.denominator)
         return Matrix(self.n, "floating", self._d * scalar)
 
     __rmul__ = __mul__
@@ -359,7 +406,7 @@ class Matrix:
         if not isinstance(other, Matrix) or self.n != other.n or self.pathway != other.pathway:
             return False
         if self.pathway == "exact":
-            return self._d == other._d
+            return self._den == other._den and self._d == other._d
         return bool(np.array_equal(self._d, other._d))
 
     def __hash__(self):
@@ -378,27 +425,28 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         if self.pathway == "exact":
-            return Matrix(self.n, "exact", tuple(zip(*self._d)))
+            return Matrix(self.n, "exact", tuple(zip(*self._d)), self._den)
         return Matrix(self.n, "floating", self._d.T.copy())
 
     def trace(self):
         if self.pathway == "exact":
-            return sum(self._d[i][i] for i in range(self.n))
+            return Fraction(sum(self._d[i][i] for i in range(self.n)), self._den)
         return complex(np.trace(self._d))
 
     def frobenius_norm(self) -> float:
         if self.pathway == "exact":
-            return float(np.sqrt(sum(float(x) ** 2 for row in self._d for x in row)))
+            den = self._den
+            return float(np.sqrt(sum((x / den) ** 2 for row in self._d for x in row)))
         return float(np.linalg.norm(self._d, "fro"))
 
     def max_abs(self) -> float:
         if self.pathway == "exact":
-            return max((abs(float(x)) for row in self._d for x in row), default=0.0)
+            return max((abs(x) for row in self._d for x in row), default=0) / self._den
         return float(np.max(np.abs(self._d))) if self.n else 0.0
 
     def is_zero(self, tol: Tolerance | None = None) -> bool:
         if self.pathway == "exact":
-            return all(x == 0 for row in self._d for x in row)
+            return not any(map(any, self._d))
         t = tol or RANK_TOL
         return self.max_abs() <= t.bound(0.0)
 
@@ -415,9 +463,9 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """Inverse.
 
-        Exact pathway: Gauss-Jordan elimination, bit-exact, reducing
-        [A | I] with ``_rref``, whose rows are primitive integer vectors
-        until the pivot rows are divided by their pivots at the end; raises
+        Exact pathway: Gauss-Jordan elimination, bit-exact, reducing the
+        integer rows [R | I] of A = R / d with ``_eliminate``; pivot row k
+        then reads [p_k e_k | X_k], so A^-1 has rows d X_k / p_k.  Raises
         SingularMatrix when A is singular.
         Floating pathway: one LAPACK ``inv``; raises SingularMatrix when
         sigma_min <= n eps sigma_max (numpy's ``matrix_rank`` default, a
@@ -425,10 +473,10 @@ class Matrix:
         """
         n = self.n
         if self.pathway == "exact":
-            aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self._d)]
-            if len(_rref(aug, n)) < n:
+            aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._d)]
+            if len(_eliminate(aug, n)) < n:
                 raise SingularMatrix("exact matrix is singular")
-            return Matrix.exact([row[n:] for row in aug])
+            return Matrix._rows_over([row[n:] for row in aug], [row[k] for k, row in enumerate(aug)], self._den)
         try:
             sv = np.linalg.svd(self._d, compute_uv=False)
             if n and sv[-1] <= n * np.finfo(float).eps * sv[0]:
@@ -481,20 +529,32 @@ def direct_sum(*mats: Matrix) -> Matrix:
         raise PathwayMismatch("mixed pathways in direct_sum")
     n = sum(m.n for m in mats)
     if pathway == "exact":
-        grid = [[Fraction(0)] * n for _ in range(n)]
-        off = 0
+        pieces, off = [], 0
         for m in mats:
-            for i in range(m.n):
-                for j in range(m.n):
-                    grid[off + i][off + j] = m._d[i][j]
+            idx = range(off, off + m.n)
+            pieces.append((idx, idx, m._d, m._den))
             off += m.n
-        return Matrix.exact(grid)
+        return _scatter(n, pieces)
     arr = np.zeros((n, n), dtype=np.complex128)
     off = 0
     for m in mats:
         arr[off : off + m.n, off : off + m.n] = m._d
         off += m.n
     return Matrix(n, "floating", arr)
+
+
+def _scatter(n: int, pieces) -> Matrix:
+    """The n x n exact matrix that holds, for each (rows, cols, grid, den)
+    of `pieces`, the integer grid / den on those rows and columns, and zero
+    elsewhere."""
+    den = math.lcm(*(piece[3] for piece in pieces))
+    out = [[0] * n for _ in range(n)]
+    for rows, cols, grid, d in pieces:
+        scale = den // d
+        for gi, row in zip(rows, grid):
+            for gj, x in zip(cols, row):
+                out[gi][gj] = scale * x
+    return Matrix._grid(out, den)
 
 
 def close(a: Matrix, b: Matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -558,7 +618,7 @@ def numerical_rank(arr: np.ndarray, tol: Tolerance = RANK_TOL) -> int:
 def matrix_to_json(a: Matrix) -> dict:
     """{"n":., "pathway":., "entries": row-major [[re,im],...] or "p/q"}."""
     if a.pathway == "exact":
-        entries = [str(x) for row in a._d for x in row]
+        entries = [_wire_entry(x, a._den) for row in a._d for x in row]
     else:
         entries = np.stack((a._d.real, a._d.imag), -1).reshape(-1, 2).tolist()
     return {"n": a.n, "pathway": a.pathway, "entries": entries}
@@ -580,8 +640,10 @@ def matrix_from_json(d: dict) -> Matrix:
     if len(entries) != n * n:
         raise MatrixError(f"expected {n * n} entries, got {len(entries)}")
     if pathway == "exact":
-        vals = [_fraction_entry(k, e) for k, e in enumerate(entries)]
-        return Matrix.exact([vals[i * n : (i + 1) * n] for i in range(n)])
+        pairs = [_rational_entry(k, e) for k, e in enumerate(entries)]
+        den = math.lcm(*(q for _, q in pairs))
+        grid = [[p * (den // q) for p, q in pairs[i * n : (i + 1) * n]] for i in range(n)]
+        return Matrix._grid(grid, den)
     if pathway == "floating":
         return Matrix.floating(_float_pairs(entries).view(np.complex128).reshape(n, n))
     raise MatrixError(f"unknown pathway {pathway!r}")
@@ -590,11 +652,27 @@ def matrix_from_json(d: dict) -> Matrix:
 _ENTRY_ERRORS = (TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
-def _fraction_entry(k: int, e) -> Fraction:
+#: an exact entry as written by `matrix_to_json`: "p" or "p/q", q > 0
+_WIRE_ENTRY = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _wire_entry(x: int, den: int) -> str:
+    """str(Fraction(x, den)), without building the Fraction."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _rational_entry(k: int, e) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact entry: the wire form
+    is parsed directly, anything else `Fraction` accepts goes through it."""
+    match = _WIRE_ENTRY.fullmatch(e) if isinstance(e, str) else None
+    if match:
+        return int(match[1]), int(match[2] or 1)
     try:
-        return Fraction(e)
+        x = Fraction(e)
     except _ENTRY_ERRORS as exc:
         raise MatrixError(f"malformed matrix JSON: entry {k} is {e!r} ({exc})") from exc
+    return x.numerator, x.denominator
 
 
 def _float_pairs(entries) -> np.ndarray:

@@ -36,9 +36,11 @@ from coninv.exactcanon import (
     _factor_mod,
     _hensel_lift,
     _integer_monic,
+    _linear_power,
     _pdivmod,
     _pmul,
     _proven_irreducible,
+    _quadratic_power,
     _vector_order,
     factor_prime_powers,
     poly_eval_matrix,
@@ -408,6 +410,54 @@ def test_polynomial_json_round_trip():
     doc = poly_to_json(f)
     assert doc == {"m": 3, "a": ["5/3", "-6", "1/7"]}
     assert poly_from_json(doc) == f
+
+
+def _power(q, k):
+    c = [F(1)]
+    for _ in range(k):
+        c = _pmul(c, q)
+    return c
+
+
+class TestPowerShortcuts:
+    """`_linear_power` and `_quadratic_power` compare coefficients one at a
+    time: pure powers match, everything else is rejected, also when only
+    the last coefficient differs."""
+
+    @pytest.mark.parametrize("root", [F(0), F(1), F(-3, 2), F(7, 12)])
+    @pytest.mark.parametrize("m", [1, 2, 5, 16])
+    def test_linear_powers_match(self, root, m):
+        assert _linear_power(_power([F(1), -root], m)) == [([F(1), -root], m)]
+
+    @pytest.mark.parametrize("q", [[F(1), F(0), F(1)], [F(1), F(-1, 2), F(3)], [F(1), F(2), F(5, 7)]])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_irreducible_quadratic_powers_match(self, q, k):
+        c = _power(q, k)
+        assert _quadratic_power(c) == [(q, k)]
+        assert _linear_power(c) is None
+
+    def test_reducible_quadratic_power_is_left_to_the_factorizer(self):
+        c = _power([F(1), F(0), F(-1)], 3)  # (x^2 - 1)^3
+        assert _quadratic_power(c) is None
+        assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == [
+            (Polynomial((F(-1),)), 3),
+            (Polynomial((F(1),)), 3),
+        ]
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_last_coefficient_mismatch_is_rejected(self, k):
+        lin = _power([F(1), F(-2)], 2 * k)
+        quad = _power([F(1), F(1), F(1)], k)
+        lin[-1] += F(1, 3)
+        quad[-1] -= 1
+        assert _linear_power(lin) is None
+        assert _quadratic_power(quad) is None
+
+    def test_generic_minimal_polynomial_is_rejected(self):
+        a = rational_matrix(np.random.default_rng(16), 16, num=9, den=4)
+        c = _coeffs(minimal_polynomial(a))
+        assert len(c) == 17
+        assert _linear_power(c) is None and _quadratic_power(c) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -124,6 +126,148 @@ class TestExactMatmul:
         b = Matrix.exact([[F(3), F(-2, 5)], [F(3, 2), F(1, 5)]])
         assert (a @ b).rows() == [[F(1), F(0)], [F(3, 8), F(9, 20)]]
         self.check(a, b)
+
+
+def assert_canonical(m):
+    """The stored pair of an exact matrix: integer rows over a positive
+    denominator that shares no factor with every entry; zero at den 1."""
+    rows, den = m._d, m._den
+    assert type(rows) is tuple and all(type(r) is tuple and len(r) == m.n for r in rows) and len(rows) == m.n
+    assert all(type(x) is int for r in rows for x in r)
+    assert type(den) is int and den > 0
+    assert math.gcd(den, *itertools.chain.from_iterable(rows)) == 1
+    if not any(map(any, rows)):
+        assert den == 1
+
+
+#: numerators with zeros and signs, denominators with coprime primes and
+#: shared factors, and integers past the 53 bits of a double; an entry is
+#: drawn as a Fraction, an int, or the string "p/q" that need not be reduced
+NUMERATORS = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, -12, 35, 97, -210, 2**70 + 1, -(3**45)])
+DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 5, 6, 7, 12, 49, 60, 10**30 + 57])
+
+
+@st.composite
+def exact_entries(draw):
+    p, q = draw(NUMERATORS), draw(DENOMINATORS)
+    form = draw(st.sampled_from(["fraction", "string", "int"]))
+    if form == "fraction":
+        return F(p, q)
+    if form == "string":
+        return f"{p}/{q}"
+    return p
+
+
+@st.composite
+def exact_matrices(draw, n=None):
+    n = n if n is not None else draw(st.integers(1, 5))
+    return Matrix.exact([[draw(exact_entries()) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def exact_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(exact_matrices(n)), draw(exact_matrices(n))
+
+
+SCALARS = st.builds(F, NUMERATORS, DENOMINATORS) | NUMERATORS
+
+
+class TestExactGridProperties:
+    """Every exact kernel against per-entry Fraction references, and the
+    canonical pair after every operation."""
+
+    @given(exact_pairs())
+    def test_matmul(self, pair):
+        a, b = pair
+        prod = a @ b
+        assert_canonical(prod)
+        assert prod.rows() == fraction_matmul(a, b)
+
+    @given(exact_pairs())
+    def test_add_and_sub(self, pair):
+        a, b = pair
+        ra, rb = a.rows(), b.rows()
+        total, diff = a + b, a - b
+        assert_canonical(total)
+        assert_canonical(diff)
+        assert total.rows() == [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)]
+        assert diff.rows() == [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)]
+        assert_canonical(a - a)
+        assert (a - a) == Matrix.zeros(a.n, "exact")
+
+    @given(exact_matrices(), SCALARS)
+    def test_negation_scaling_transpose(self, a, c):
+        rows = a.rows()
+        for m, ref in (
+            (-a, [[-x for x in r] for r in rows]),
+            (a * c, [[F(c) * x for x in r] for r in rows]),
+            (c * a, [[F(c) * x for x in r] for r in rows]),
+            (a.transpose(), [list(col) for col in zip(*rows)]),
+        ):
+            assert_canonical(m)
+            assert m.rows() == ref
+
+    @given(exact_pairs())
+    def test_equality_is_value_equality(self, pair):
+        a, b = pair
+        assert (a == b) == (a.rows() == b.rows())
+        same = Matrix.exact([[f"{x.numerator * 6}/{x.denominator * 6}" for x in r] for r in a.rows()])
+        assert_canonical(same)
+        assert same == a and (same._d, same._den) == (a._d, a._den)
+
+    @given(exact_matrices())
+    def test_inverse(self, a):
+        n = a.n
+        ref = [r + [F(int(i == j)) for j in range(n)] for i, r in enumerate(a.rows())]
+        if len(exactref.rref(ref, n)) < n:
+            with pytest.raises(SingularMatrix):
+                a.inverse()
+            return
+        inv = a.inverse()
+        assert_canonical(inv)
+        assert inv.rows() == [r[n:] for r in ref]
+        assert a @ inv == Matrix.identity(n, "exact")
+
+    @given(exact_matrices())
+    def test_floats_are_those_of_the_fractions(self, a):
+        rows = a.rows()
+        arr = a.to_array()
+        assert np.array_equal(arr, np.array([[float(x) for x in r] for r in rows], dtype=complex))
+        assert not np.any(arr.imag)
+        assert a.frobenius_norm() == float(np.sqrt(sum(float(x) ** 2 for r in rows for x in r)))
+        assert a.max_abs() == max(abs(float(x)) for r in rows for x in r)
+        assert a.trace() == sum(rows[i][i] for i in range(a.n))
+        assert a.is_zero() == all(x == 0 for r in rows for x in r)
+
+    @given(exact_matrices())
+    def test_json_round_trip(self, a):
+        doc = matrix_to_json(a)
+        assert doc["entries"] == [str(x) for r in a.rows() for x in r]
+        back = matrix_from_json(json.loads(json.dumps(doc)))
+        assert_canonical(back)
+        assert back == a
+
+    @given(exact_matrices())
+    def test_json_reads_unreduced_entries(self, a):
+        doc = matrix_to_json(a)
+        doc["entries"] = [f"{(k + 2) * x.numerator}/{(k + 2) * x.denominator}" for k, x in enumerate(map(F, doc["entries"]))]
+        back = matrix_from_json(doc)
+        assert_canonical(back)
+        assert back == a
+
+    def test_constructors_are_canonical(self):
+        for m in (
+            Matrix.zeros(3, "exact"),
+            Matrix.identity(3, "exact"),
+            Matrix.diag([F(1, 2), F(0), F(-4, 6)], "exact"),
+            Matrix.exact([[F(0), "0/7"], [0, F(0, 5)]]),
+            Matrix.exact([["2/4", "6/4"], [1, "-10/20"]]),
+            direct_sum(Matrix.exact([[F(1, 2)]]), Matrix.zeros(2, "exact"), Matrix.exact([[F(2, 3)]])),
+        ):
+            assert_canonical(m)
+        assert Matrix.exact([[F(0), "0/7"], [0, F(0, 5)]])._den == 1
+        assert Matrix.exact([["2/4", "6/4"], [1, "-10/20"]])._d == ((1, 3), (2, -1))
 
 
 class TestConj:
