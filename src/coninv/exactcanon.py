@@ -1,21 +1,20 @@
 """Exact canonical-form machinery over the rationals.
 
-Companion matrices, the prime-power Frobenius form with an explicit
-similarity transform, and the involutory-plus-diagonalizable split of
-companion matrices behind thm1a.  Everything
+Companion matrices, the invariant-factor (rational canonical) Frobenius
+form with an explicit similarity transform, and the
+involutory-plus-diagonalizable split of companion matrices behind thm1a.
+No polynomial is ever factored: the Frobenius form comes from one cyclic
+decomposition, and the split works on any companion block.  Everything
 here runs on the exact pathway: results are bit-exact rationals and the
 defining residuals are asserted to be literally zero.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-import numpy as np
 
 from .matcore import (
     Matrix,
@@ -23,7 +22,6 @@ from .matcore import (
     Polynomial,
     _eliminate,
     _integer_grid,
-    _rref,
     _scatter,
     direct_sum,
 )
@@ -132,465 +130,6 @@ def companion(f: Polynomial) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# exact rational factorization (pattern shortcuts, a proof of irreducibility
-# from factor degrees modulo small primes, Zassenhaus over the integers, and
-# sympy for what has no squarefree reduction modulo those primes)
-# ---------------------------------------------------------------------------
-
-#: primes tried in turn, both by `_proven_irreducible` before it gives up and
-#: by `_zassenhaus` when it picks the prime to factor and lift at: all
-#: primes below 114.  Measured: no irreducible polynomial among 1,441
-#: minimal polynomials of `real-exact` rounds (seeds 1-12) and 9,000 random
-#: cubic and quartic characteristic polynomials needed a prime past the 26th
-PROOF_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-    53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-)  # fmt: skip
-
-
-def _is_rational_square(x: Fraction) -> bool:
-    if x < 0:
-        return False
-    pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    return pn * pn == x.numerator and pd * pd == x.denominator
-
-
-def _is_power(c: list[Fraction], q: list[Fraction], k: int) -> bool:
-    """Whether the monic c is q^k, for a monic q with deg c = k deg q.
-
-    Read in reverse, q^k is the power Q^k of a series with Q(0) = 1, whose
-    coefficients follow n P_n = sum_i ((k + 1) i - n) Q_i P_(n-i) (J. C. P.
-    Miller's recurrence; the binomial expansion when q is linear).  So the
-    coefficients are compared one at a time, and the first mismatch ends the
-    comparison: a generic c fails within a few terms.
-    """
-    p = [Fraction(1)]
-    for n in range(1, len(c)):
-        term = sum(((k + 1) * i - n) * q[i] * p[n - i] for i in range(1, min(n, len(q) - 1) + 1)) / n
-        if term != c[n]:
-            return False
-        p.append(term)
-    return True
-
-
-def _linear_power(c: list[Fraction]) -> list[tuple[list[Fraction], int]] | None:
-    m = len(c) - 1
-    q = [Fraction(1), c[1] / m]
-    return [(q, m)] if _is_power(c, q, m) else None
-
-
-def _quadratic_power(c: list[Fraction]) -> list[tuple[list[Fraction], int]] | None:
-    m = len(c) - 1
-    if m % 2 or m < 2:
-        return None
-    k = m // 2
-    u = c[1] / k
-    v = (c[2] - Fraction(k * (k - 1), 2) * u * u) / k
-    q = [Fraction(1), u, v]
-    if not _is_power(c, q, k) or _is_rational_square(u * u - 4 * v):
-        return None  # not a power, or of a reducible quadratic the general factorizer splits
-    return [(q, k)]
-
-
-# Polynomials modulo m below are lists of ints in [0, m), in ascending
-# order (index = power), with no zero leading coefficient; [] is zero.  m is
-# a prime p, or a power of p where the divisor is monic.
-
-
-def _reduce_mod(v: list[int], p: int) -> list[int]:
-    """Integer coefficients v as a polynomial modulo p."""
-    v = [x % p for x in v]
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _reduce_mod(out, p)
-
-
-def _add_mod(polys: list[list[int]], p: int) -> list[int]:
-    width = max(len(v) for v in polys)
-    return _reduce_mod([sum(col) for col in zip(*(v + [0] * (width - len(v)) for v in polys))], p)
-
-
-def _sub_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    return _add_mod([a, [-x for x in b]], p)
-
-
-def _symmetric(v: list[int], m: int) -> list[int]:
-    """Coefficients modulo m as the integers of least absolute value."""
-    return [x - m if 2 * x > m else x for x in v]
-
-
-def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b modulo p; b nonzero, monic unless p is prime."""
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    rem, q = list(a), [0] * max(len(a) - db, 0)
-    for s in range(len(a) - 1 - db, -1, -1):
-        f = q[s] = rem[s + db] * inv % p
-        if f:
-            rem[s : s + db] = [r - f * y for r, y in zip(rem[s : s + db], b)]
-    return q, _reduce_mod(rem[:db], p)
-
-
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """A gcd over GF(p), not made monic: callers use its degree and divide by it."""
-    while b:
-        a, b = b, _divmod_mod(a, b, p)[1]
-    return a
-
-
-def _monic_mod(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
-
-
-def _frobenius_matrix(g: list[int], p: int) -> np.ndarray:
-    """The matrix of h -> h^p on GF(p)[x]/(g), g monic: column j is x^(jp)
-    mod g.  Its columns come from the matrix of multiplication by x^p, the
-    p-th power of g's companion."""
-    d = len(g) - 1
-    # entries stay below p, so a product sums d terms below p^2: no int64 wrap
-    times_x = np.zeros((d, d), dtype=np.int64)
-    times_x[np.arange(1, d), np.arange(d - 1)] = 1
-    times_x[:, -1] = [-v % p for v in g[:d]]
-    times_xp, e = np.eye(d, dtype=np.int64), p
-    while e:
-        if e & 1:
-            times_xp = times_xp @ times_x % p
-        e >>= 1
-        times_x = times_x @ times_x % p
-    frob = np.empty((d, d), dtype=np.int64)
-    col = np.eye(d, dtype=np.int64)[0]
-    for j in range(d):
-        frob[:, j] = col
-        col = times_xp @ col % p
-    return frob
-
-
-def _factor_degrees_mod(g: list[int], p: int) -> list[int]:
-    """Degrees of the irreducible factors over GF(p) of a monic squarefree g.
-
-    Distinct-degree factorization: gcd(rest, x^(p^i) - x) collects the
-    factors of degree i once those of lower degree are divided out, and
-    what is left once 2(i + 1) exceeds its degree is irreducible.
-    x^(p^i) mod g comes from x^(p^(i-1)) through `_frobenius_matrix`.
-    """
-    d = len(g) - 1
-    frob = _frobenius_matrix(g, p)
-    degrees, rest, i = [], g, 0
-    power = (np.arange(d) == 1).astype(np.int64)  # x mod g; unused when d = 1
-    while 2 * (i + 1) <= len(rest) - 1:
-        i += 1
-        power = frob @ power % p
-        shifted = power.tolist()
-        shifted[1] -= 1
-        common = _gcd_mod(rest, _reduce_mod(shifted, p), p)
-        if len(common) > 1:
-            degrees += [i] * ((len(common) - 1) // i)
-            rest = _divmod_mod(rest, common, p)[0]
-    if len(rest) > 1:
-        degrees.append(len(rest) - 1)
-    return degrees
-
-
-def _nullspace_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    """A basis of {v : rows v = 0} over GF(p), by reduction to echelon form."""
-    m, width, pivots = [list(r) for r in rows], len(rows[0]), []
-    for col in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(width) if c not in pivots):
-        v = [0] * width
-        v[free] = 1
-        for i, col in enumerate(pivots):
-            v[col] = -m[i][free] % p
-        basis.append(v)
-    return basis
-
-
-def _factor_mod(g: list[int], p: int) -> list[list[int]]:
-    """The monic irreducible factors over GF(p) of a monic squarefree g.
-
-    Berlekamp: the v with v^p = v mod g form a space whose dimension is the
-    number of factors, and each factor u of g is the product over c in
-    GF(p) of gcd(u, v - c).  Splitting by every basis vector in turn
-    separates all factors; no step is random.
-    """
-    d = len(g) - 1
-    fixed = (_frobenius_matrix(g, p) - np.eye(d, dtype=np.int64)) % p
-    kernel = _nullspace_mod(fixed.tolist(), p)
-    factors = [g]
-    for v in kernel:
-        if len(factors) == len(kernel):
-            break
-        split = []
-        for u in factors:
-            if len(u) == 2:
-                split.append(u)
-                continue
-            for c in range(p):
-                common = _gcd_mod(u, _reduce_mod([v[0] - c] + v[1:], p), p)
-                if len(common) > 1:
-                    split.append(_monic_mod(common, p))
-        factors = split
-    return factors
-
-
-def _bezout_mod(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
-    """s, t over GF(p) with s g + t h = 1, deg s < deg h and deg t < deg g,
-    for coprime g and h (extended Euclid)."""
-    r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
-    while r1:
-        q, r = _divmod_mod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
-        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
-    inv = pow(r0[0], -1, p)  # r0 is a nonzero constant
-    return _reduce_mod([x * inv for x in s0], p), _reduce_mod([x * inv for x in t0], p)
-
-
-def _hensel_lift(f: list[int], g: list[int], p: int, modulus: int) -> tuple[list[int], int]:
-    """The monic factor of the monic integer f modulo p^(2^j) > modulus
-    that reduces to g modulo p, and p^(2^j); f = g * (f / g) modulo p with
-    coprime factors.
-
-    Quadratic Hensel lifting (von zur Gathen and Gerhard, Algorithm 15.10):
-    each step squares the modulus m and lifts the Bezout pair with it.
-    """
-    h = _divmod_mod(_reduce_mod(f, p), g, p)[0]
-    s, t = _bezout_mod(g, h, p)
-    m = p
-    while m <= modulus:
-        m *= m
-        e = _sub_mod(f, _mul_mod(g, h, m), m)
-        q, r = _divmod_mod(_mul_mod(s, e, m), h, m)
-        g = _add_mod([g, _mul_mod(t, e, m), _mul_mod(q, g, m)], m)
-        h = _add_mod([h, r], m)
-        b = _add_mod([_mul_mod(s, g, m), _mul_mod(t, h, m), [-1]], m)
-        c, d = _divmod_mod(_mul_mod(s, b, m), h, m)
-        s = _sub_mod(s, d, m)
-        t = _sub_mod(_sub_mod(t, _mul_mod(t, b, m), m), _mul_mod(c, g, m), m)
-    return g, m
-
-
-def _exact_quotient(f: list[int], h: list[int]) -> list[int] | None:
-    """f / h over the integers for monic h, or None when h does not divide f."""
-    dh = len(h) - 1
-    rem, q = list(f), [0] * (len(f) - dh)
-    for s in range(len(f) - 1 - dh, -1, -1):
-        q[s] = rem[s + dh]
-        rem[s : s + dh] = [r - q[s] * y for r, y in zip(rem[s : s + dh], h)]
-    return q if not any(rem[:dh]) else None
-
-
-def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1."""
-    lo, hi = 1, 1 << (n.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if mid**k <= n else (lo, mid - 1)
-    return lo
-
-
-def _integer_monic(c: list[Fraction]) -> tuple[list[int], int]:
-    """Ascending coefficients of the monic integer D^d c(y / D) and D, for
-    the monic rational c of degree d.  D^k must clear the denominator of
-    the coefficient of x^(d-k); its k-th root does when it is an integer."""
-    scale = 1
-    for k, v in enumerate(c[1:], start=1):
-        den, root = v.denominator, _iroot(v.denominator, k)
-        scale = math.lcm(scale, root if root**k == den else den)
-    return [int(v * scale**k) for k, v in reversed(list(enumerate(c)))], scale
-
-
-def _degrees_mod_primes(c: list[Fraction]):
-    """(p, factor degrees of c mod p) for each prime of PROOF_PRIMES that
-    divides no denominator of c and leaves c squarefree mod p."""
-    den = math.lcm(*(v.denominator for v in c))
-    ints = [v.numerator * (den // v.denominator) for v in reversed(c)]
-    for p in PROOF_PRIMES:
-        if den % p == 0:
-            continue
-        inv = pow(den, -1, p)
-        g = _reduce_mod([v * inv for v in ints], p)
-        derivative = _reduce_mod([k * v for k, v in enumerate(g)][1:], p)
-        if len(_gcd_mod(g, derivative, p)) > 1:
-            continue  # not squarefree mod p: distinct-degree factorization does not apply
-        yield p, _factor_degrees_mod(g, p)
-
-
-def _subset_sums(degrees: list[int]) -> int:
-    """Bit k set when some subset of the degrees sums to k."""
-    sums = 1
-    for k in degrees:
-        sums |= sums << k
-    return sums
-
-
-def _prime_scan(c: list[Fraction]) -> tuple[int, int | None]:
-    """The degrees a factor of the monic rational c over Q may still have
-    (bit k for degree k), and the prime of fewest factors mod p among those
-    scanned (None when no prime was usable).
-
-    Cleared of denominators, c is an integer polynomial of the same degree
-    d modulo any prime p not dividing its leading coefficient, and a factor
-    of degree k over Q would reduce to a product of factors mod p whose
-    degrees sum to k.  So a prime at which c is squarefree rules out every
-    k that no subset of c's factor degrees there sums to, and once all of
-    1..d-1 are ruled out, c is irreducible and the scan stops.
-    """
-    open_degrees, best, fewest = (1 << (len(c) - 1)) - 2, None, len(c)
-    for p, degrees in _degrees_mod_primes(c):
-        open_degrees &= _subset_sums(degrees)
-        if len(degrees) < fewest:
-            best, fewest = p, len(degrees)
-        if not open_degrees:
-            break
-    return open_degrees, best
-
-
-def _proven_irreducible(c: list[Fraction]) -> bool:
-    """True when the monic rational c is proven irreducible over Q by its
-    factor degrees modulo the primes of PROOF_PRIMES (`_prime_scan`).
-    False means not proven, not reducible."""
-    return not _prime_scan(c)[0]
-
-
-def _squarefree_parts(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """(s_i, i) with c the product of the s_i^i, each s_i monic, squarefree
-    and of positive degree, pairwise coprime (Musser's algorithm over Q)."""
-    repeated = _pgcd(c, _pderiv(c))
-    distinct = _pdivmod(c, repeated)[0]
-    out, i = [], 1
-    while len(distinct) > 1:
-        deeper = _pgcd(distinct, repeated)
-        part = _pdivmod(distinct, deeper)[0]
-        if len(part) > 1:
-            out.append((part, i))
-        distinct, repeated, i = deeper, _pdivmod(repeated, deeper)[0], i + 1
-    return out
-
-
-def _zassenhaus(s: list[Fraction]) -> list[list[Fraction]] | None:
-    """The monic irreducible factors over Q of the monic squarefree s, or
-    None when no prime of PROOF_PRIMES leaves it squarefree.
-
-    `_prime_scan` settles the irreducible s it can prove so.  Otherwise,
-    Zassenhaus: s becomes the monic integer G = D^d s(y / D); G is factored
-    modulo the prime with the fewest factors there, each factor is lifted
-    to a modulus past twice Mignotte's bound 2^d ||G||_2 on the coefficients
-    of any factor of G, and products of the lifted factors, fewest first,
-    are tried as exact divisors of G; only products of a degree the scan
-    left open can divide.
-    """
-    open_degrees, p = _prime_scan(s)
-    if not open_degrees:
-        return [s]
-    if p is None:
-        return None
-    d = len(s) - 1
-    g, scale = _integer_monic(s)
-    bound = 2 ** (d + 1) * (math.isqrt(sum(v * v for v in g)) + 1)
-    lifted = []
-    for u in _factor_mod(_reduce_mod(g, p), p):
-        factor, modulus = _hensel_lift(g, u, p, bound)
-        lifted.append(_symmetric(factor, modulus))
-    found, rest, size = [], list(range(len(lifted))), 1
-    while 2 * size <= len(rest):
-        for subset in itertools.combinations(rest, size):
-            h = [1]
-            for i in subset:
-                h = _mul_mod(h, lifted[i], modulus)
-            h = _symmetric(h, modulus)
-            if open_degrees >> (len(h) - 1) & 1 and (quotient := _exact_quotient(g, h)) is not None:
-                found.append(h)
-                g, rest = quotient, [i for i in rest if i not in subset]
-                break
-        else:
-            size += 1
-    found.append(g)
-    return [[Fraction(h[j], scale ** (len(h) - 1 - j)) for j in reversed(range(len(h)))] for h in found]
-
-
-def _sympy_factors(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    import sympy
-
-    x = sympy.symbols("x")
-    expr = sympy.Poly([sympy.Rational(v.numerator, v.denominator) for v in c], x, domain="QQ")
-    _, factors = expr.factor_list()  # content + primitive factors; re-monicize
-    out = []
-    for poly, exp in factors:
-        coeffs = [Fraction(q.p, q.q) for q in poly.all_coeffs()]
-        out.append(([v / coeffs[0] for v in coeffs], int(exp)))
-    return out
-
-
-def _factor_over_q(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """c by `_zassenhaus`, or, when no prime reduces c squarefree (always so
-    with a repeated factor), its squarefree parts each by `_zassenhaus`;
-    sympy only for a part no prime of PROOF_PRIMES reduces squarefree, and
-    then for all of c."""
-    factors = _zassenhaus(c)
-    if factors is not None:
-        return [(f, 1) for f in factors]
-    out = []
-    for part, e in _squarefree_parts(c):
-        factors = [part] if len(part) == 2 else _zassenhaus(part)
-        if factors is None:
-            return _sympy_factors(c)
-        out += [(f, e) for f in factors]
-    return out
-
-
-def factor_prime_powers(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Factor a monic rational polynomial into (prime, exponent) pairs.
-
-    Pure powers of a linear or irreducible quadratic factor are matched
-    directly, and a polynomial proven irreducible by its factor degrees
-    modulo small primes is its own factorization.  The rest is factored by
-    Zassenhaus's algorithm at one of those primes, after a split into
-    squarefree parts when it has repeated factors.  sympy's factorization
-    over Q, imported then, is left for a part that none of the primes
-    reduces squarefree.  Pairs are sorted by degree, then coefficients, and
-    their product is checked to reproduce f on every route.
-    """
-    c = _coeffs(f)
-    hit = _linear_power(c) or _quadratic_power(c) or _factor_over_q(c)
-    out = sorted(
-        ((Polynomial.from_monic_coeffs(p), e) for p, e in hit),
-        key=lambda pe: (pe[0].m, tuple(pe[0].a)),
-    )
-    check = [Fraction(1)]
-    for p, e in out:
-        for _ in range(e):
-            check = _pmul(check, _coeffs(p))
-    if check != c:
-        raise ArithmeticError("factorization failed to reproduce the input")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # exact dense linear algebra helpers
 # ---------------------------------------------------------------------------
 
@@ -648,24 +187,14 @@ def _vector_order(grid: tuple[list[list[int]], int], v: list[int]) -> tuple[Poly
         cur = [sum(map(mul, row, cur)) for row in ia]
 
 
-def _apply(grid: tuple[list[list[int]], int], v: list[Fraction]) -> list[Fraction]:
-    """A v for A's integer grid (dA, d), with integer dot products as in
-    ``Matrix.__matmul__``."""
-    ia, da = grid
-    (iv,), dv = _integer_grid([v])
-    den = da * dv
-    return [Fraction(sum(map(mul, row, iv)), den) for row in ia]
-
-
-def _standard_spins(a: Matrix, degree: int) -> tuple[list[Fraction], list[tuple[Polynomial, list[list[int]]]], int]:
+def _standard_spins(a: Matrix) -> tuple[list[Fraction], list[tuple[Polynomial, list[list[int]]]]]:
     """Spin e_0, e_1, ... under A until the lcm of their orders reaches
-    `degree` or the basis runs out.
+    degree n or the basis runs out.
 
-    Returns the lcm (descending coefficients), each spin as (order, integer
-    Krylov chain), and the denominator d of A's integer grid: the chain of
-    e_i is A^j e_i = U_j / d^j.  With `degree` = n the lcm is the minimal
+    Returns the lcm (descending coefficients), which is the minimal
     polynomial, since a polynomial annihilates A exactly when it annihilates
-    a basis.
+    a basis, and each spin as (order, integer Krylov chain): with d the
+    denominator of A's integer grid, the chain of e_i is A^j e_i = U_j / d^j.
     """
     n = a.n
     grid = (a._d, a._den)
@@ -675,9 +204,9 @@ def _standard_spins(a: Matrix, degree: int) -> tuple[list[Fraction], list[tuple[
         spins.append((order, chain))
         c = _coeffs(order)
         lcm = c if i == 0 else _pmul(lcm, _pdivmod(c, _pgcd(lcm, c))[0])
-        if len(lcm) - 1 == degree:
+        if len(lcm) - 1 == n:
             break
-    return lcm, spins, grid[1]
+    return lcm, spins
 
 
 def minimal_polynomial(a: Matrix) -> Polynomial:
@@ -685,7 +214,7 @@ def minimal_polynomial(a: Matrix) -> Polynomial:
     vectors, accumulated until the degree reaches n."""
     if a.pathway != "exact":
         raise PathwayMismatch("minimal_polynomial requires the exact pathway")
-    return Polynomial.from_monic_coeffs(_standard_spins(a, a.n)[0])
+    return Polynomial.from_monic_coeffs(_standard_spins(a)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +224,10 @@ def minimal_polynomial(a: Matrix) -> Polynomial:
 
 @dataclass
 class FrobeniusForm:
-    """blocks[i] is the (prime-power) characteristic polynomial of the i-th
-    companion block; S satisfies S A S^{-1} = direct-sum of companions, and
+    """blocks are the invariant factors f_1, f_2, ... of A, the
+    characteristic polynomials of its companion blocks: f_(i+1) divides f_i,
+    f_1 is the minimal polynomial and their product the characteristic
+    polynomial.  S satisfies S A S^{-1} = direct-sum of companions, and
     S_inv is S^{-1}."""
 
     blocks: list[Polynomial]
@@ -760,21 +291,65 @@ def _solve_sylvester_exact(c, y, x) -> list[list[Fraction]]:
     return [z[i * r : (i + 1) * r] for i in range(d)]
 
 
-def _cyclic_blocks(
-    m: Matrix, spins: list[tuple[Polynomial, list[list[int]]]], den: int
-) -> tuple[Matrix, list[Polynomial]]:
-    """Q and block polynomials with M = Q (direct-sum companions) Q^{-1}.
+def _apply_poly(h: list[Fraction], chain: list[list[int]], den: int) -> list[Fraction]:
+    """h(A) v from the integer Krylov chain U_j = (dA)^j v of v, for a
+    polynomial h (descending coefficients) of degree below the chain's length."""
+    k = len(h) - 1
+    return [sum(c * Fraction(chain[k - i][r], den ** (k - i)) for i, c in enumerate(h)) for r in range(len(chain[0]))]
 
-    Assumes the minimal polynomial of M is a prime power, so the orders of
-    the standard basis vectors are powers of one prime and the first spin
-    of maximal order (from ``_standard_spins(m, ...)``, with grid
-    denominator `den`) is a maximal-order vector and its Krylov chain.
+
+def _cyclic_vector(
+    m: Matrix, spins: list[tuple[Polynomial, list[list[int]]]], degree: int
+) -> tuple[Polynomial, list[list[int]]]:
+    """A vector whose order is the minimal polynomial of M, of `degree`, as
+    (order, integer Krylov chain): the first of the standard `spins` of
+    maximal degree, combined with the others in turn until its order has
+    that degree.
+
+    For v of order f and w of order g, a = f and b = g / gcd(f, g) trade
+    c = gcd(a, b) (a <- a / c, b <- b c) until they are coprime; then
+    a b = lcm(f, g), and (f / a)(A) v + (g / b)(A) w has that order, as the
+    sum of two vectors of coprime orders a and b.
+    """
+    grid = (m._d, m._den)
+    f, chain = max(spins, key=lambda s: s[0].m)
+    for g, other in spins:
+        if f.m == degree:
+            break
+        fc, gc = _coeffs(f), _coeffs(g)
+        a, b = fc, _pdivmod(gc, _pgcd(fc, gc))[0]
+        if len(b) == 1:
+            continue  # g divides f
+        while len(c := _pgcd(a, b)) > 1:
+            a, b = _pdivmod(a, c)[0], _pmul(b, c)
+        vec = _apply_poly(_pdivmod(gc, b)[0], other, m._den)
+        if len(a) > 1:  # (f / a)(A) v = f(A) v = 0 otherwise
+            vec = [x + y for x, y in zip(vec, _apply_poly(_pdivmod(fc, a)[0], chain, m._den))]
+        (iv,), _ = _integer_grid([vec])
+        content = math.gcd(*iv)
+        f, chain = _vector_order(grid, [x // content for x in iv])
+        if _coeffs(f) != _pmul(a, b):
+            raise ArithmeticError("combined vector has the wrong order")  # pragma: no cover
+    return f, chain
+
+
+def _cyclic_blocks(m: Matrix) -> tuple[Matrix, list[Polynomial]]:
+    """Q and the invariant factors f_1, f_2, ... of M, with M Q = Q
+    (direct-sum companions).
+
+    A vector of order f_1, the minimal polynomial (`_cyclic_vector`), spans
+    with its Krylov chain an invariant subspace that has an invariant
+    complement.  Completing the chain greedily with standard vectors to a
+    basis P gives P^{-1} M P = [[C(f_1), X], [0, Y]]; a Sylvester solve
+    removes X, and the recursion on Y, whose minimal polynomial divides f_1,
+    gives f_2, ....
     """
     n = m.n
     if n == 0:
         raise ValueError("empty block")
-    f, chain = max(spins, key=lambda s: s[0].m)
-    d = f.m
+    mp, spins = _standard_spins(m)
+    f, chain = _cyclic_vector(m, spins, len(mp) - 1)
+    d, den = f.m, m._den
     # the chain A^j v = U_j / den^j as integer rows over den^(d-1)
     top = den ** (d - 1)
     powers = [den ** (d - 1 - j) for j in range(d)]
@@ -796,84 +371,28 @@ def _cyclic_blocks(
         raise ArithmeticError("Krylov span was not invariant")
     y_rows = [row[d:] for row in lower]
     z = _solve_sylvester_exact([row[:d] for row in upper], y_rows, [row[d:] for row in upper])
-    y_blk = Matrix._grid(y_rows, b._den)
     # [[I, Z],[0, I]] absorbs the coupling block
     t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(d):
         t[i][d:] = z[i]
-    _, y_spins, y_den = _standard_spins(y_blk, y_blk.n)
-    q_sub, blocks = _cyclic_blocks(y_blk, y_spins, y_den)
+    q_sub, blocks = _cyclic_blocks(Matrix._grid(y_rows, b._den))
     q = p @ Matrix.exact(t) @ direct_sum(Matrix.identity(d, "exact"), q_sub)
     return q, [f] + blocks
 
 
 def frobenius_form(a: Matrix) -> FrobeniusForm:
-    """Prime-power Frobenius form with similarity, verified exactly.
-
-    Pipeline: split into connected direct-sum components, then per
-    component a primary decomposition (kernels of prime powers of the
-    minimal polynomial) followed by cyclic deflation inside each primary
-    block.
+    """Invariant-factor (rational canonical) form with similarity, verified
+    exactly.  No polynomial is factored: `_cyclic_blocks` splits off one
+    companion block per invariant factor by cyclic deflation.
     """
     if a.pathway != "exact":
         raise PathwayMismatch("frobenius_form requires the exact pathway")
-    n = a.n
-    comps = _components(a)
-    blocks: list[Polynomial] = []
-    # global Q assembled column-wise, A Q = Q (direct sum): for each primary
-    # block, its rows (the component's), its columns, and its grid there
-    pieces, off = [], 0
-    for comp in comps:
-        sub = _submatrix(a, comp)
-        mp, spins, den = _standard_spins(sub, sub.n)
-        factors = factor_prime_powers(Polynomial.from_monic_coeffs(mp))
-        for prime, exp in factors:
-            if len(factors) == 1:
-                # mp(sub) = 0: the primary component is the whole component,
-                # and the spins of the minimal polynomial are its spins
-                kernel, primary = None, sub
-            else:
-                kernel = _exact_nullspace(poly_eval_matrix(_pow_poly(prime, exp), sub))
-                primary = _restrict(sub, kernel)
-                _, spins, den = _standard_spins(primary, prime.m * exp)
-            q_sub, fblocks = _cyclic_blocks(primary, spins, den)
-            # embed: primary coords -> component coords (the kernel basis) -> global coords
-            grid, q_den = q_sub._d, q_sub._den
-            if kernel is not None:
-                basis, basis_den = _integer_grid(list(zip(*kernel)))
-                grid = [[sum(map(mul, row, col)) for col in zip(*grid)] for row in basis]
-                q_den *= basis_den
-            pieces.append((comp, range(off, off + q_sub.n), grid, q_den))
-            off += q_sub.n
-            blocks.extend(fblocks)
-    q = _scatter(n, pieces)
+    q, blocks = _cyclic_blocks(a)
     s = q.inverse()
     form = FrobeniusForm(blocks=blocks, S=s, S_inv=q)
     if (s @ a) != (form.companion_sum() @ s):
         raise ArithmeticError("Frobenius residual is nonzero")  # pragma: no cover
     return form
-
-
-def _pow_poly(p: Polynomial, e: int) -> Polynomial:
-    c = [Fraction(1)]
-    pc = _coeffs(p)
-    for _ in range(e):
-        c = _pmul(c, pc)
-    return Polynomial.from_monic_coeffs(c)
-
-
-def _restrict(a: Matrix, basis: list[list[Fraction]]) -> Matrix:
-    """Matrix of A restricted to span(basis), in that basis (exact)."""
-    k = len(basis)
-    # RREF of [B | A B] for the n x k basis matrix B: its top k rows are [I | X]
-    # with B X = A B
-    imgs = [_apply((a._d, a._den), b) for b in basis]
-    aug = [[b[i] for b in basis] + [img[i] for img in imgs] for i in range(a.n)]
-    if len(_rref(aug, k)) < k:
-        raise ArithmeticError("basis columns are dependent")
-    if any(x != 0 for row in aug[k:] for x in row[k:]):
-        raise ArithmeticError("span is not invariant")
-    return Matrix.exact([row[k:] for row in aug[:k]])
 
 
 # ---------------------------------------------------------------------------
@@ -1001,10 +520,14 @@ def involutory_diagonalizable_split(a: Matrix, reserved=()) -> ExactSplit:
     """Exact split of a rational matrix into involutory + diagonalizable.
 
     Runs the Frobenius form, splits each companion block with distinct
-    rational spectrum choices (shared across blocks so the diagonalizable
-    part has a squarefree characteristic polynomial whenever the scalar
-    blocks allow it), and conjugates back.  1-by-1 inputs return ([1], A-1).
-    `reserved` values are kept out of the chosen spectrum.
+    rational spectrum choices, and conjugates back.  1-by-1 inputs return
+    ([1], A-1).  `reserved` values are kept out of the chosen spectrum.
+
+    The 1-by-1 blocks of the form are all [c] for one c, and each has only
+    c - 1 and c + 1 to choose from, so they choose first and the larger
+    blocks avoid what they took.  The spectrum is then pairwise distinct,
+    and D has a squarefree characteristic polynomial, whenever the form has
+    at most two 1-by-1 blocks and `reserved` leaves their values free.
     """
     if a.pathway != "exact":
         raise PathwayMismatch("exact pathway required")
@@ -1016,20 +539,18 @@ def involutory_diagonalizable_split(a: Matrix, reserved=()) -> ExactSplit:
     if len(comps) > 1:
         return _split_by_components(a, comps, reserved)
     form = frobenius_form(a)
-    v_blocks, w_blocks, spectrum = [], [], []
-    for f in form.blocks:
-        g, _, r, values = _split_block(f, used)
-        v_blocks.append(g)
-        w_blocks.append(r)
-        spectrum.extend(values)
-        used.update(values)
+    splits = {}
+    for i, f in sorted(enumerate(form.blocks), key=lambda block: block[1].m > 1):
+        splits[i] = _split_block(f, used)
+        used.update(splits[i][3])
+    g_blocks, _, r_blocks, values = zip(*(splits[i] for i in sorted(splits)))
     s_inv = form.S_inv
-    v = s_inv @ direct_sum(*v_blocks) @ form.S
+    v = s_inv @ direct_sum(*g_blocks) @ form.S
     d = a - v
-    w = s_inv @ direct_sum(*w_blocks)
+    w = s_inv @ direct_sum(*r_blocks)
     if v + d != a:
         raise ArithmeticError("split does not reconstruct the input")  # pragma: no cover
-    return ExactSplit(V=v, D=d, W=w, spectrum=tuple(spectrum))
+    return ExactSplit(V=v, D=d, W=w, spectrum=tuple(x for vals in values for x in vals))
 
 
 def _split_by_components(a: Matrix, comps: list[list[int]], reserved) -> ExactSplit:

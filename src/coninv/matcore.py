@@ -139,7 +139,7 @@ def _as_fraction(x) -> Fraction:
     raise PathwayMismatch(f"exact pathway requires rational entries, got {x!r}")
 
 
-def _eliminate(ints: list[list[int]], ncols: int, scales: list[Fraction] | None = None) -> list[int]:
+def _eliminate(ints: list[list[int]], ncols: int) -> list[int]:
     """Fraction-free Gauss-Jordan on integer rows, in place: bring the
     first `ncols` columns to reduced row echelon form up to a pivot per
     row, carrying any later columns along.
@@ -149,10 +149,7 @@ def _eliminate(ints: list[list[int]], ncols: int, scales: list[Fraction] | None 
     dividing the row by that pivot gives the reduced row.  An update is
     a*row - b*pivot_row with (a, b) = (p, f) / gcd(p, f) for the pivot p and
     the row's entry f, and the row's content is divided out after each
-    update, so the integers stay the size of the reduced fractions.  With
-    `scales`, the rational factor of each row past the current pivot is kept
-    up to date (scales[i] * ints[i] stays the row the Fraction elimination
-    would hold).
+    update, so the integers stay the size of the reduced fractions.
     """
     nrows = len(ints)
     pivots: list[int] = []
@@ -164,8 +161,6 @@ def _eliminate(ints: list[list[int]], ncols: int, scales: list[Fraction] | None 
         if piv is None:
             continue
         ints[r], ints[piv] = ints[piv], ints[r]
-        if scales is not None:
-            scales[r], scales[piv] = scales[piv], scales[r]
         prow = ints[r]
         p = prow[col]
         for i in range(nrows):
@@ -176,39 +171,7 @@ def _eliminate(ints: list[list[int]], ncols: int, scales: list[Fraction] | None 
                 row = [a * x - b * y for x, y in zip(ints[i], prow)]
                 c = math.gcd(*row) or 1
                 ints[i] = [x // c for x in row] if c > 1 else row
-                if scales is not None and i > r:
-                    scales[i] = scales[i] * c / a
         pivots.append(col)
-    return pivots
-
-
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan over Q, in place: bring the first `ncols` columns of
-    `rows` to reduced row echelon form, carrying any later columns along.
-
-    Returns the pivot columns.  Pivot k sits in row k and is 1.  The rows
-    past the last pivot are zero on the first `ncols` columns, and their
-    later columns hold, exactly, what the elimination left there: the
-    combination of the input rows that cancels their first `ncols` columns.
-
-    Each row's denominators are cleared once and its content divided out,
-    `_eliminate` reduces the primitive integer rows, and a rational scale
-    per row keeps the rows past the last pivot exact; the pivot rows are
-    divided by their pivots only at the end.
-    """
-    ints: list[list[int]] = []
-    scales: list[Fraction] = []
-    for row in rows:
-        (irow,), den = _integer_grid([row])
-        g = math.gcd(*irow) or 1
-        ints.append([x // g for x in irow] if g > 1 else irow)
-        scales.append(Fraction(g, den))
-    pivots = _eliminate(ints, ncols, scales)
-    for k, col in enumerate(pivots):
-        p = ints[k][col]
-        rows[k] = [Fraction(x, p) for x in ints[k]]
-    for i in range(len(pivots), len(rows)):
-        rows[i] = [scales[i] * x for x in ints[i]]
     return pivots
 
 

@@ -130,7 +130,8 @@ class TestCanonical:
         )
         assert code == 0
         doc = json.loads(out)
-        assert sorted(blk["a"] for blk in doc["blocks"]) == [["2"], ["3"]]
+        # diag(2, 3) is cyclic: one invariant factor x^2 - 5x + 6
+        assert [blk["a"] for blk in doc["blocks"]] == [["5", "-6"]]
         assert doc["residual"] == "0"
 
     def test_concanonical_h_block(self, capsys):

@@ -1,15 +1,13 @@
 import json
-import math
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coninv import (
@@ -31,18 +29,9 @@ from coninv import exactcanon
 from coninv.exactcanon import (
     _coeffs,
     _components,
-    _divmod_mod,
-    _factor_degrees_mod,
-    _factor_mod,
-    _hensel_lift,
-    _integer_monic,
-    _linear_power,
     _pdivmod,
     _pmul,
-    _proven_irreducible,
-    _quadratic_power,
     _vector_order,
-    factor_prime_powers,
     poly_eval_matrix,
 )
 from coninv.matcore import _integer_grid
@@ -78,16 +67,18 @@ class TestCompanion:
 
 class TestFrobenius:
     def test_distinct_scalars(self):
+        # diag(2, 3) is cyclic: one block x^2 - 5x + 6
         form = frobenius_form(Matrix.diag([2, 3], "exact"))
-        assert block_multiset(form) == [(F(2),), (F(3),)]
+        assert block_multiset(form) == [(F(5), F(-6))]
 
     def test_nilpotent_block(self):
         form = frobenius_form(Matrix.exact([[0, 1], [0, 0]]))
         assert block_multiset(form) == [(F(0), F(0))]
 
-    def test_squarefree_splits(self):
+    def test_squarefree_companion_is_one_block(self):
+        # a squarefree characteristic polynomial is not split into factors
         form = frobenius_form(Matrix.exact([[0, -6], [1, 5]]))
-        assert block_multiset(form) == [(F(2),), (F(3),)]
+        assert block_multiset(form) == [(F(5), F(-6))]
 
     def test_residual_is_exactly_zero(self, rng):
         for _ in range(5):
@@ -108,7 +99,7 @@ class TestFrobenius:
             assert block_multiset(frobenius_form(a)) == block_multiset(frobenius_form(t_inv @ a @ t))
 
     def test_prime_power_blocks(self):
-        # J2(0) + J2(0): two x^2 blocks, not x^4 or (x^2, x, x)
+        # J2(0) + J2(0): invariant factors x^2, x^2, not x^4 or (x^2, x, x)
         j2 = Matrix.exact([[0, 1], [0, 0]])
         form = frobenius_form(direct_sum(j2, j2))
         assert block_multiset(form) == [(F(0), F(0)), (F(0), F(0))]
@@ -162,12 +153,25 @@ def _divides(f, g):
     return _pdivmod(_coeffs(g), _coeffs(f))[1] == [F(0)]
 
 
+def sympy_prime_factors(f):
+    """The monic irreducible factors over Q of the Polynomial f, by sympy."""
+    import sympy
+
+    c = _coeffs(f)
+    poly = sympy.Poly([sympy.Rational(v.numerator, v.denominator) for v in c], sympy.symbols("x"), domain="QQ")
+    out = []
+    for factor, _ in poly.factor_list()[1]:
+        coeffs = [F(q.p, q.q) for q in factor.all_coeffs()]
+        out.append([v / coeffs[0] for v in coeffs])
+    return out
+
+
 class TestMinimalPolynomial:
     def check_minimal(self, a, mp):
         n = a.n
         assert poly_eval_matrix(mp, a) == Matrix.zeros(n, "exact")
-        for prime, _ in factor_prime_powers(mp):
-            cofactor = _pdivmod(_coeffs(mp), _coeffs(prime))[0]
+        for prime in sympy_prime_factors(mp):
+            cofactor = _pdivmod(_coeffs(mp), prime)[0]
             if len(cofactor) > 1:  # a constant cofactor 1 evaluates to I
                 assert not poly_eval_matrix(Polynomial.from_monic_coeffs(cofactor), a).is_zero()
         assert _divides(mp, a.char_poly())
@@ -198,15 +202,16 @@ class TestMinimalPolynomial:
             assert mp == a.char_poly()
             self.check_minimal(a, mp)
 
-    def test_coprime_factors_take_the_primary_decomposition(self):
+    def test_coprime_factors_give_the_invariant_factors(self):
+        # (x - 1)^2 (x^2 + 1) and x^2 + 1, not the three prime powers
         a, _ = MINPOLY_CASES["coprime-factors"]
         rng = np.random.default_rng(7)
         t = unimodular(rng, a.n)
         hidden = t.inverse() @ a @ t
         form = frobenius_form(hidden)
         assert len(_components(hidden)) == 1
-        assert len(factor_prime_powers(minimal_polynomial(hidden))) == 2
-        assert block_multiset(form) == sorted([(F(2), F(-1)), (F(0), F(-1)), (F(0), F(-1))])
+        assert len(sympy_prime_factors(minimal_polynomial(hidden))) == 2
+        assert [tuple(f.a) for f in form.blocks] == [(F(2), F(-2), F(2), F(-1)), (F(0), F(-1))]
         assert form.S @ hidden == form.companion_sum() @ form.S
 
 
@@ -243,15 +248,18 @@ class TestVectorOrder:
                 assert _coeffs(order) == exactref.vector_order(grid, e)[0]
 
 
-@pytest.mark.parametrize("name", ["generic-8", "hidden-j3(1)+j2(1)+j1(1)"])
+@pytest.mark.parametrize("name", ["generic-8", "hidden-j3(1)+j2(1)+j1(1)", "hidden-coprime-factors"])
 def test_frobenius_form_spins_each_standard_vector_once(name, monkeypatch):
-    # minimal_polynomial spins e_0, e_1, ... and _cyclic_blocks reuses that
-    # spin when the minimal polynomial is one prime power
+    # the spins of e_0, e_1, ... that give the minimal polynomial also give
+    # the cyclic vector, also when the minimal polynomial is reducible
     rng = np.random.default_rng(8)
     if name == "generic-8":
         a = rational_matrix(rng, 8)
     else:
-        a = direct_sum(jordan(3, F(1)), jordan(2, F(1)), jordan(1, F(1)))
+        if name == "hidden-coprime-factors":
+            a = MINPOLY_CASES["coprime-factors"][0]
+        else:
+            a = direct_sum(jordan(3, F(1)), jordan(2, F(1)), jordan(1, F(1)))
         t = unimodular(rng, a.n)
         a = t.inverse() @ a @ t
     assert len(_components(a)) == 1
@@ -289,10 +297,19 @@ class TestFrozenThm1a:
 
 
 @st.composite
+def unimodulars(draw, n):
+    """An integer n x n matrix of determinant 1: unit upper times unit
+    lower, off-diagonal entries in -2..2."""
+    entry = st.integers(-2, 2)
+    upper = [[draw(entry) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    lower = [[draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    return Matrix.exact(upper) @ Matrix.exact(lower)
+
+
+@st.composite
 def hidden_jordan_sums(draw):
     """A direct sum of Jordan blocks J_m(lam), 1 <= m <= 3, lam in -2..2, at
-    n <= 6, hidden by an integer unimodular similarity (unit upper times
-    unit lower, off-diagonal entries in -2..2)."""
+    n <= 6, hidden by an integer unimodular similarity."""
     blocks = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2)), min_size=1, max_size=6))
     sizes = []
     for m, _ in blocks:
@@ -300,18 +317,14 @@ def hidden_jordan_sums(draw):
             break
         sizes.append(m)
     a = direct_sum(*[jordan(m, F(lam)) for m, (_, lam) in zip(sizes, blocks)])
-    n = a.n
-    entry = st.integers(-2, 2)
-    upper = [[draw(entry) if j > i else int(i == j) for j in range(n)] for i in range(n)]
-    lower = [[draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
-    t = Matrix.exact(upper) @ Matrix.exact(lower)
+    t = draw(unimodulars(a.n))
     return t.inverse() @ a @ t
 
 
 class TestHiddenJordanProperty:
     """thm1a on hidden direct sums of Jordan blocks: derogatory and
-    non-cyclic inputs, where the Frobenius layer needs the primary
-    decomposition and the Sylvester deflation of `_cyclic_blocks`."""
+    non-cyclic inputs, where the Frobenius layer needs the Sylvester
+    deflation of `_cyclic_blocks`."""
 
     @given(hidden_jordan_sums())
     def test_thm1a_identities_hold_literally(self, a):
@@ -320,6 +333,71 @@ class TestHiddenJordanProperty:
         assert sp.V @ sp.V == eye
         assert sp.V + sp.D == a
         assert sp.W.inverse() @ sp.D @ sp.W == Matrix.diag(sp.spectrum, "exact")
+
+
+@st.composite
+def several_eigenvalue_sums(draw):
+    """(A, T): a direct sum of Jordan blocks J_m(lam), 1 <= m <= 3, with at
+    least two distinct lam in -2..2, at n <= 7, either block diagonal as it
+    is (no e_i is then a cyclic vector) or hidden by an integer unimodular
+    similarity; and a unimodular T of the same size."""
+    blocks = draw(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2)), min_size=2, max_size=5).filter(
+            lambda b: len({lam for _, lam in b}) > 1 and sum(m for m, _ in b) <= 7
+        )
+    )
+    a = direct_sum(*[jordan(m, F(lam)) for m, lam in blocks])
+    if draw(st.booleans()):
+        t = draw(unimodulars(a.n))
+        a = t.inverse() @ a @ t
+    return a, draw(unimodulars(a.n))
+
+
+class TestInvariantFactors:
+    """`frobenius_form` gives the invariant factors: a divisibility chain
+    from the minimal polynomial whose product is the characteristic
+    polynomial, the same for every matrix similar to A."""
+
+    @example((Matrix.diag([2, 3, 3], "exact"), Matrix.identity(3, "exact")))
+    @given(several_eigenvalue_sums())
+    def test_blocks_are_the_invariant_factors(self, case):
+        a, t = case
+        form = frobenius_form(a)
+        blocks = form.blocks
+        assert all(_divides(g, f) for f, g in zip(blocks, blocks[1:]))
+        assert blocks[0] == minimal_polynomial(a)
+        product = [F(1)]
+        for f in blocks:
+            product = _pmul(product, _coeffs(f))
+        assert Polynomial.from_monic_coeffs(product) == a.char_poly()
+        assert form.S @ a == form.companion_sum() @ form.S
+        assert frobenius_form(t.inverse() @ a @ t).blocks == blocks
+
+
+def lower_bidiagonal_hidden(sizes, lam):
+    """J_m(lam) for m in sizes, summed and hidden by the unit lower
+    bidiagonal T = I + (ones below the diagonal), which leaves one component."""
+    a = direct_sum(*[jordan(m, F(lam)) for m in sizes])
+    t = Matrix.exact([[int(j in (i, i - 1)) for j in range(a.n)] for i in range(a.n)])
+    return t.inverse() @ a @ t
+
+
+@pytest.mark.parametrize("lam", range(-2, 3))
+@pytest.mark.parametrize(
+    "sizes", [(2, 1), (3, 1), (2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 2, 1), (4, 1), (3, 3, 1), (2, 1, 1, 1)], ids=str
+)
+def test_thm1a_scalar_blocks_choose_first(sizes, lam):
+    # each 1-by-1 block [lam] has only lam - 1 and lam + 1 to choose from, so
+    # the spectrum can be pairwise distinct when at most two blocks are 1-by-1;
+    # the larger blocks once chose first and took those values
+    a = lower_bidiagonal_hidden(sizes, lam)
+    assert len(_components(a)) == 1
+    sp = involutory_diagonalizable_split(a)
+    assert sp.V @ sp.V == Matrix.identity(a.n, "exact")
+    assert sp.V + sp.D == a
+    assert sp.W.inverse() @ sp.D @ sp.W == Matrix.diag(sp.spectrum, "exact")
+    if sum(f.m == 1 for f in frobenius_form(a).blocks) <= 2:
+        assert len(set(sp.spectrum)) == a.n
 
 
 class TestInvolutorySplit:
@@ -412,260 +490,11 @@ def test_polynomial_json_round_trip():
     assert poly_from_json(doc) == f
 
 
-def _power(q, k):
-    c = [F(1)]
-    for _ in range(k):
-        c = _pmul(c, q)
-    return c
-
-
-class TestPowerShortcuts:
-    """`_linear_power` and `_quadratic_power` compare coefficients one at a
-    time: pure powers match, everything else is rejected, also when only
-    the last coefficient differs."""
-
-    @pytest.mark.parametrize("root", [F(0), F(1), F(-3, 2), F(7, 12)])
-    @pytest.mark.parametrize("m", [1, 2, 5, 16])
-    def test_linear_powers_match(self, root, m):
-        assert _linear_power(_power([F(1), -root], m)) == [([F(1), -root], m)]
-
-    @pytest.mark.parametrize("q", [[F(1), F(0), F(1)], [F(1), F(-1, 2), F(3)], [F(1), F(2), F(5, 7)]])
-    @pytest.mark.parametrize("k", [1, 2, 3, 8])
-    def test_irreducible_quadratic_powers_match(self, q, k):
-        c = _power(q, k)
-        assert _quadratic_power(c) == [(q, k)]
-        assert _linear_power(c) is None
-
-    def test_reducible_quadratic_power_is_left_to_the_factorizer(self):
-        c = _power([F(1), F(0), F(-1)], 3)  # (x^2 - 1)^3
-        assert _quadratic_power(c) is None
-        assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == [
-            (Polynomial((F(-1),)), 3),
-            (Polynomial((F(1),)), 3),
-        ]
-
-    @pytest.mark.parametrize("k", [2, 4, 8])
-    def test_last_coefficient_mismatch_is_rejected(self, k):
-        lin = _power([F(1), F(-2)], 2 * k)
-        quad = _power([F(1), F(1), F(1)], k)
-        lin[-1] += F(1, 3)
-        quad[-1] -= 1
-        assert _linear_power(lin) is None
-        assert _quadratic_power(quad) is None
-
-    def test_generic_minimal_polynomial_is_rejected(self):
-        a = rational_matrix(np.random.default_rng(16), 16, num=9, den=4)
-        c = _coeffs(minimal_polynomial(a))
-        assert len(c) == 17
-        assert _linear_power(c) is None and _quadratic_power(c) is None
-
-
-# ---------------------------------------------------------------------------
-# factorization: the proof of irreducibility modulo small primes and
-# Zassenhaus's algorithm, against sympy
-# ---------------------------------------------------------------------------
-
-
-def sympy_factors(c):
-    """sympy's factorization over QQ of descending Fraction coefficients,
-    each factor made monic, in the order factor_prime_powers returns."""
-    import sympy
-
-    poly = sympy.Poly([sympy.Rational(v.numerator, v.denominator) for v in c], sympy.symbols("x"), domain="QQ")
-    out = []
-    for factor, exp in poly.factor_list()[1]:
-        coeffs = [F(q.p, q.q) for q in factor.all_coeffs()]
-        out.append((Polynomial.from_monic_coeffs([v / coeffs[0] for v in coeffs]), int(exp)))
-    return sorted(out, key=lambda pe: (pe[0].m, pe[0].a))
-
-
-@st.composite
-def factor_products(draw):
-    """Descending coefficients of a monic product of random rational factors
-    of total degree <= 16: integer and rational coefficients, large
-    denominators, linear factors (rational roots) and repeated factors."""
-    coeff = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 1, 1, 2, 3, 7, 2**40, 10**12 + 39]))
-    c, budget = [F(1)], 16
-    for _ in range(draw(st.integers(1, 4))):
-        if not budget:
-            break
-        deg = draw(st.integers(1, budget))
-        exp = draw(st.integers(1, min(3, budget // deg)))
-        factor = [F(1)] + [draw(coeff) for _ in range(deg)]
-        for _ in range(exp):
-            c = _pmul(c, factor)
-        budget -= deg * exp
-    return c
-
-
-@settings(max_examples=80)
-@given(factor_products())
-def test_factorization_matches_sympy(c):
-    expected = sympy_factors(c)
-    with mock.patch.object(exactcanon, "_sympy_factors", side_effect=AssertionError("sympy route taken")):
-        assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == expected
-    if len(expected) > 1 or expected[0][1] > 1:
-        assert not _proven_irreducible(c)
-
-
-def squarefree_mod(p, coeffs):
-    """Ascending monic coefficients mod p made squarefree, or None."""
-    g = [v % p for v in coeffs] + [1]
-    derivative = [k * v % p for k, v in enumerate(g)][1:]
-    while derivative and derivative[-1] == 0:
-        derivative.pop()
-    if not derivative or len(exactcanon._gcd_mod(g, derivative, p)) > 1:
-        return None
-    return g
-
-
-@given(st.sampled_from([2, 3, 5, 113]), st.lists(st.integers(0, 200), min_size=1, max_size=12))
-def test_factor_mod_gives_the_irreducible_factors(p, coeffs):
-    g = squarefree_mod(p, coeffs)
-    if g is None:
-        return
-    factors = _factor_mod(g, p)
-    product = [1]
-    for u in factors:
-        assert u[-1] == 1 and _factor_degrees_mod(u, p) == [len(u) - 1]
-        product = exactcanon._mul_mod(product, u, p)
-    assert product == g
-    assert sorted(len(u) - 1 for u in factors) == sorted(_factor_degrees_mod(g, p))
-
-
-@pytest.mark.parametrize(
-    "c",
-    [
-        [F(1), F(-10, 3), F(-1585, 36), F(1013, 4), F(-3161, 9)],
-        [F(1), F(0), F(-10), F(0), F(1)],
-        [F(1), F(1, 2**40), F(-7, 3), F(2), F(5, 7), F(-1)],
-    ],
-)
-def test_hensel_lift_reproduces_the_integer_polynomial(c):
-    g, scale = _integer_monic(c)
-    d = len(c) - 1
-    assert [F(x * scale**k, scale**d) for k, x in enumerate(g)] == c[::-1]
-    used = 0
-    for p in (5, 7, 11):
-        gp = exactcanon._reduce_mod(g, p)
-        if squarefree_mod(p, gp[:-1]) is None:
-            continue
-        used += 1
-        modulus, product = 10**40, [1]
-        for u in _factor_mod(gp, p):
-            lifted, m = _hensel_lift(g, u, p, modulus)
-            assert m > modulus and p ** round(math.log(m, p)) == m
-            assert exactcanon._reduce_mod(lifted, p) == u and lifted[-1] == 1
-            product = exactcanon._mul_mod(product, lifted, m)
-        assert product == exactcanon._reduce_mod(g, m)
-    assert used
-
-
-@given(
-    st.sampled_from([2, 3, 7, 113]),
-    st.lists(st.integers(0, 200), max_size=12),
-    st.lists(st.integers(0, 200), min_size=1, max_size=12),
-)
-def test_divmod_mod_reproduces_the_dividend(p, a, b):
-    def strip(v):
-        v = [x % p for x in v]
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = strip(a), strip(b)
-    if not b:
-        b = [1]
-    q, r = _divmod_mod(a, b, p)
-    assert len(r) < len(b) and (not r or r[-1])
-    back = [0] * max(len(a), len(r), len(q) + len(b) - 1)
-    for i, x in enumerate(q):
-        for j, y in enumerate(b):
-            back[i + j] += x * y
-    for i, x in enumerate(r):
-        back[i] += x
-    assert strip(back) == a
-
-
-def test_divmod_mod_of_a_shorter_dividend():
-    assert _divmod_mod([1, 2], [3, 4, 1], 5) == ([], [1, 2])
-    assert _divmod_mod([], [3, 4, 1], 5) == ([], [])
-
-
-#: irreducible over Q but reducible modulo every prime, so no set of primes
-#: proves them irreducible; and the minimal polynomial of a `real-exact`
-#: benchmark input, (x - 4) times an irreducible cubic.  Zassenhaus settles
-#: all four without sympy
-GIVE_UP_CASES = {
-    "x^4+1": [1, 0, 0, 0, 1],
-    "x^4-10x^2+1": [1, 0, -10, 0, 1],
-    "x^8-40x^6+352x^4-960x^2+576": [1, 0, -40, 0, 352, 0, -960, 0, 576],
-    "rational-root-and-cubic": [1, F(-10, 3), F(-1585, 36), F(1013, 4), F(-3161, 9)],
-}
-
-
-@pytest.mark.parametrize("name", sorted(GIVE_UP_CASES))
-def test_prover_gives_up_within_its_cap(name, monkeypatch):
-    c = [F(v) for v in GIVE_UP_CASES[name]]
-    primes, fallbacks = [], []
-    degrees, fallback = exactcanon._factor_degrees_mod, exactcanon._sympy_factors
-    monkeypatch.setattr(exactcanon, "_factor_degrees_mod", lambda g, p: primes.append(p) or degrees(g, p))
-    monkeypatch.setattr(exactcanon, "_sympy_factors", lambda c: fallbacks.append(c) or fallback(c))
-    assert not _proven_irreducible(c)
-    assert 0 < len(primes) <= len(exactcanon.PROOF_PRIMES)
-    assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == sympy_factors(c)
-    assert not fallbacks
-
-
-@pytest.mark.parametrize(
-    "c",
-    [
-        [1, 0, 0, 0, 1],  # x^4 + 1 is (x + 1)^4 mod 2
-        [1, -8, 22, -24, 9],  # (x - 1)^2 (x - 3)^2: no prime reduces a repeated factor squarefree
-    ],
-)
-def test_sympy_only_without_a_squarefree_prime(c, monkeypatch):
-    c = [F(v) for v in c]
-    fallbacks, fallback = [], exactcanon._sympy_factors
-    monkeypatch.setattr(exactcanon, "PROOF_PRIMES", (2,))
-    monkeypatch.setattr(exactcanon, "_sympy_factors", lambda c: fallbacks.append(c) or fallback(c))
-    assert factor_prime_powers(Polynomial.from_monic_coeffs(c)) == sympy_factors(c)
-    # (x - 1)^2 (x - 3)^2 is the square of (x - 1)(x - 3), which is (x + 1)^2 mod 2
-    assert fallbacks == [c]
-
-
-#: a generic rational 6 x 6; its minimal polynomial is an irreducible sextic
-GENERIC_6 = [
-    ["-5", "-2/3", "-4", "0", "-1", "4/3"],
-    ["1", "5/4", "3/2", "-1", "-5/2", "0"],
-    ["-2/3", "1", "-1/3", "3", "2/3", "-4"],
-    ["5/4", "-3/2", "-5/4", "-1/2", "-1/2", "3/2"],
-    ["1", "4/3", "2", "-5/3", "5", "-1/3"],
-    ["-3/2", "0", "-1", "1/2", "1/2", "-5/4"],
-]
-
-
 def run_cold(*argv):
     """A fresh interpreter with this checkout's sources first on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
-
-
-def test_thm1a_cold_start_leaves_sympy_unloaded():
-    mp = minimal_polynomial(Matrix.exact([[F(v) for v in row] for row in GENERIC_6]))
-    assert mp.m == 6 and _proven_irreducible(_coeffs(mp))
-    script = (
-        "import sys\n"
-        "from fractions import Fraction\n"
-        "import coninv\n"
-        f"a = coninv.Matrix.exact([[Fraction(v) for v in row] for row in {GENERIC_6!r}])\n"
-        "coninv.involutory_diagonalizable_split(a)\n"
-        "print('sympy' in sys.modules)\n"
-    )
-    proc = run_cold("-c", script)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 #: the small-rational 4 x 4 of `real-exact` seed 8, round 81: its minimal
@@ -678,27 +507,34 @@ REDUCIBLE_4 = [
 ]
 
 
-def test_thm1a_on_a_reducible_minimal_polynomial_leaves_sympy_unloaded():
-    mp = minimal_polynomial(Matrix.exact([[F(v) for v in row] for row in REDUCIBLE_4]))
-    assert [(p.m, e) for p, e in factor_prime_powers(mp)] == [(1, 1), (3, 1)]
+
+
+def test_exact_layer_runs_without_sympy():
+    # with sympy unimportable, frobenius_form, thm1a and `coninv canonical
+    # --kind frobenius` run on inputs whose minimal polynomials are
+    # reducible: they once went to the polynomial factorizer
+    x4_plus_1 = companion(Polynomial((F(0), F(0), F(0), F(-1))))
+    t = unimodular(np.random.default_rng(3), 6)
+    inputs = [
+        t.inverse() @ direct_sum(x4_plus_1, jordan(2, F(1))) @ t,
+        MINPOLY_CASES["coprime-factors"][0],
+        Matrix.exact([[F(v) for v in row] for row in REDUCIBLE_4]),
+    ]
     script = (
-        "import sys\n"
-        "from fractions import Fraction\n"
+        "import json, sys\n"
+        "sys.modules['sympy'] = None\n"
         "import coninv\n"
-        f"a = coninv.Matrix.exact([[Fraction(v) for v in row] for row in {REDUCIBLE_4!r}])\n"
-        "coninv.involutory_diagonalizable_split(a)\n"
-        "print('sympy' in sys.modules)\n"
+        "from coninv.cli import main\n"
+        "blocks = []\n"
+        f"for doc in {[matrix_to_json(a) for a in inputs]!r}:\n"
+        "    a = coninv.matrix_from_json(doc)\n"
+        "    form = coninv.frobenius_form(a)\n"
+        "    split = coninv.involutory_diagonalizable_split(a)\n"
+        "    assert split.V @ split.V == coninv.Matrix.identity(a.n, 'exact') and split.V + split.D == a\n"
+        "    assert main(['canonical', '--kind', 'frobenius', '--json', json.dumps(doc)]) == 0\n"
+        "    blocks.append(len(form.blocks))\n"
+        "print(blocks)\n"
     )
     proc = run_cold("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_thm1a_cold_start_leaves_sympy_unloaded():
-    doc = {"n": 6, "pathway": "exact", "entries": [v for row in GENERIC_6 for v in row]}
-    proc = run_cold("-X", "importtime", "-m", "coninv.cli", "decompose", "--kind", "thm1a", "--json", json.dumps(doc))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["certificate"]["pass"] is True
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    assert "coninv.exactcanon" in imported
-    assert not {name for name in imported if name.split(".")[0] == "sympy"}
+    assert proc.stdout.splitlines()[-1] == "[1, 2, 1]"  # invariant factor counts

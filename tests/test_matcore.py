@@ -27,7 +27,8 @@ from coninv.matcore import (
     RANK_TOL,
     SingularMatrix,
     UnsupportedSize,
-    _rref,
+    _eliminate,
+    _integer_grid,
     numerical_rank,
 )
 
@@ -377,13 +378,24 @@ def seeded_grid(rng, nrows, ncols, rank=None):
     return [[sum((left[i][k] * right[k][j] for k in range(rank)), F(0)) for j in range(ncols)] for i in range(nrows)]
 
 
+def rref(rows, ncols):
+    """`_eliminate`, the one Gauss-Jordan kernel of the exact pathway, on
+    the Fraction `rows` cleared of denominators row by row, in place: the
+    pivot rows come back divided by their pivots, the rows past the last
+    pivot as the integer rows it left.  Returns the pivot columns."""
+    ints = [_integer_grid([row])[0][0] for row in rows]
+    pivots = _eliminate(ints, ncols)
+    rows[:] = [[F(x, row[col]) for x in row] for row, col in zip(ints, pivots)]
+    rows += [[F(x) for x in row] for row in ints[len(pivots) :]]
+    return pivots
+
+
 class TestRref:
-    """`_rref`, the one Gauss-Jordan kernel of the exact pathway, against
-    sympy's reduced row echelon form."""
+    """The reduced row echelon form from `_eliminate` against sympy's."""
 
     def check(self, rows, ncols):
         reduced = [list(r) for r in rows]
-        pivots = _rref(reduced, ncols)
+        pivots = rref(reduced, ncols)
         ref, ref_pivots = sympy_rref([r[:ncols] for r in rows])
         assert pivots == ref_pivots
         assert [r[:ncols] for r in reduced] == ref
@@ -444,7 +456,7 @@ class TestRref:
                 assert [sum((left[i] * a[i][j] for i in range(nrows)), F(0)) for j in range(ncols)] == [0] * ncols
 
     def test_no_rows(self):
-        assert _rref([], 3) == []
+        assert rref([], 3) == []
 
     def test_singular_exact_inverse_still_raises(self, rng):
         with pytest.raises(SingularMatrix):
@@ -473,16 +485,19 @@ def ride_along_systems(draw):
 
 
 class TestRrefMatchesFractionReference:
-    """The integer-row `_rref` returns, on every row, the rationals the
-    Fraction elimination in `tests/exactref.py` returns: the pivot rows,
-    the rows past the last pivot and their ride-along columns."""
+    """The integer-row `_eliminate` returns the pivot rows of the Fraction
+    elimination in `tests/exactref.py`, and the rows past the last pivot,
+    ride-along columns included, up to a nonzero scale per row."""
 
     @staticmethod
     def check(rows, ncols):
         ours, ref = [list(r) for r in rows], [list(r) for r in rows]
-        assert _rref(ours, ncols) == exactref.rref(ref, ncols)
-        assert ours == ref
-        assert all(type(x) is F for r in ours for x in r)
+        pivots = rref(ours, ncols)
+        assert pivots == exactref.rref(ref, ncols)
+        assert ours[: len(pivots)] == ref[: len(pivots)]
+        for row, ref_row in zip(ours[len(pivots) :], ref[len(pivots) :]):
+            j = next((j for j, x in enumerate(ref_row) if x), None)
+            assert (j is None and not any(row)) or (row[j] and row == [row[j] / ref_row[j] * x for x in ref_row])
 
     @given(ride_along_systems())
     def test_random_systems(self, system):
