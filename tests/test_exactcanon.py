@@ -497,6 +497,32 @@ def run_cold(*argv):
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
 
 
+GENERIC_6 = [
+    ["-5", "-2/3", "-4", "0", "-1", "4/3"],
+    ["1", "5/4", "3/2", "-1", "-5/2", "0"],
+    ["-2/3", "1", "-1/3", "3", "2/3", "-4"],
+    ["5/4", "-3/2", "-5/4", "-1/2", "-1/2", "3/2"],
+    ["1", "4/3", "2", "-5/3", "5", "-1/3"],
+    ["-3/2", "0", "-1", "1/2", "1/2", "-5/4"],
+]
+
+
+def test_thm1a_cold_start_leaves_sympy_unloaded():
+    mp = minimal_polynomial(Matrix.exact([[F(v) for v in row] for row in GENERIC_6]))
+    assert mp.m == 6 and [len(p) - 1 for p in sympy_prime_factors(mp)] == [6]
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import coninv\n"
+        f"a = coninv.Matrix.exact([[Fraction(v) for v in row] for row in {GENERIC_6!r}])\n"
+        "coninv.involutory_diagonalizable_split(a)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = run_cold("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 #: the small-rational 4 x 4 of `real-exact` seed 8, round 81: its minimal
 #: polynomial is (x - 4) times an irreducible cubic
 REDUCIBLE_4 = [
@@ -506,6 +532,31 @@ REDUCIBLE_4 = [
     ["-7/2", "7/2", "-4", "-1/2"],
 ]
 
+
+def test_thm1a_on_a_reducible_minimal_polynomial_leaves_sympy_unloaded():
+    mp = minimal_polynomial(Matrix.exact([[F(v) for v in row] for row in REDUCIBLE_4]))
+    assert mp.m == 4 and sorted(len(p) - 1 for p in sympy_prime_factors(mp)) == [1, 3]
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import coninv\n"
+        f"a = coninv.Matrix.exact([[Fraction(v) for v in row] for row in {REDUCIBLE_4!r}])\n"
+        "coninv.involutory_diagonalizable_split(a)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = run_cold("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_thm1a_cold_start_leaves_sympy_unloaded():
+    doc = {"n": 6, "pathway": "exact", "entries": [v for row in GENERIC_6 for v in row]}
+    proc = run_cold("-X", "importtime", "-m", "coninv.cli", "decompose", "--kind", "thm1a", "--json", json.dumps(doc))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["certificate"]["pass"] is True
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "coninv.exactcanon" in imported
+    assert not {name for name in imported if name.split(".")[0] == "sympy"}
 
 
 
