@@ -6,17 +6,20 @@ upper-bidiagonal blocks J_n(lambda) with lambda >= 0 and of paired blocks
 
     H_2m(mu) = [[0, I_m], [J_m(mu), 0]],   mu not in [0, inf).
 
-The solver here recovers the block multiset from the Jordan structure of
-conj(A) A (eigenvalue clustering at a stated tolerance), assembles each
-structurally consistent candidate, and lets a residual-verified
-intertwiner arbitrate, so every returned form is certified and failures
-are explicit.  consimilar_to_real reads the same candidates onto real
-targets, H_m(mu) as the real chain of (sqrt(mu), conj sqrt(mu)): one
-verified solve per candidate gives both the reading and S.
+The reader clusters the eigenvalues of conj(A) A at a stated tolerance
+and reads each cluster's block sizes from one staircase of unitary
+deflations: of conj(A) A - sigma I for a cluster at sigma != 0, of A
+itself under consimilarity for the J(0) blocks.  The blocks so read are
+one reading of A; a residual-verified intertwiner S accepts it, so every
+returned form is certified.  A refused reading is read again at a coarser
+clustering tolerance, and failures are explicit.  consimilar_to_real
+solves the same reading onto a real target, H_m(mu) as the real chain of
+(sqrt(mu), conj sqrt(mu)): one verified solve per reading gives both the
+blocks and S.
 
 One eigendecomposition of conj(A) A serves a whole form: its eigenvalues
-give the candidates, and its eigenvectors give each diagonal block of a
-candidate its intertwiner basis in closed form when the block qualifies.
+give the clusters, and its eigenvectors give each diagonal block of a
+reading its intertwiner basis in closed form when the block qualifies.
 A block qualifies when it is [beta] with beta != 0, H_1(mu) with
 Im mu != 0, or a real pair [[a, b], [-b, a]] with b != 0, and the
 eigenvalue of conj(B_j) B_j it needs (|beta|^2, conj(mu), (a + ib)^2) is
@@ -29,7 +32,6 @@ real consimilarity operator.
 from __future__ import annotations
 
 import functools
-import heapq
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -60,9 +62,6 @@ from .matcore import (
 #: headroom (recovered parameters are cluster means and stay ~1e-7 accurate)
 CLUSTER_TOL = 1e-5
 
-#: rank-decision floor (relative to the matrix scale) for the Weyr estimate
-WEYR_FLOOR = 1e-8
-
 #: random combinations ``solve_consimilarity`` draws, and the cond(S) it
 #: accepts at most
 CONSIM_TRIALS = 32
@@ -73,10 +72,12 @@ FACTOR_SWEEP = 16
 
 
 class ConCanonicalError(RuntimeError):
-    """No structurally consistent candidate could be residual-verified.
+    """No block reading of A, at any clustering tolerance, could be
+    residual-verified.
 
-    `tried` lists each candidate block assignment with the reason its
-    intertwiner was refused: "empty kernel", "singular" or the residual."""
+    `tried` lists each distinct reading (at most one per tolerance) with
+    the reason its intertwiner was refused: "empty kernel", "singular" or
+    the residual."""
 
     def __init__(self, message: str, tried=()):
         super().__init__(message)
@@ -190,17 +191,17 @@ def _diagonal_blocks(b: np.ndarray) -> list[tuple[int, int]]:
 #: why the latest solve_consimilarity call in this context returned None:
 #: "empty kernel", "singular" or the residual of its best transform.  Kept
 #: beside the return value, which stays S or None for every caller;
-#: _read_blocks reads it to say why each candidate was refused.
+#: _read_blocks reads it to say why each reading was refused.
 _failure: ContextVar[str | float | None] = ContextVar("consimilarity_failure", default=None)
 
 #: (A, eigenvalues and eigenvectors of conj(A) A, ||A||_2) of the
-#: candidate reading in progress, shared with the candidate solves it makes
+#: reading in progress, shared with the solves it makes
 _shared_spectral: ContextVar[tuple | None] = ContextVar("spectral", default=None)
 
 
 def _spectral(aa: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues and unit eigenvectors of conj(A) A, and ||A||_2: the
-    ones of the candidate reading in progress when it is of this A, else
+    ones of the reading in progress when it is of this A, else
     computed here."""
     shared = _shared_spectral.get()
     if shared is not None and np.array_equal(shared[0], aa):
@@ -346,14 +347,12 @@ def solve_consimilarity(
 
 
 # ---------------------------------------------------------------------------
-# Jordan structure of conj(A) A and candidate enumeration
+# Jordan structure of conj(A) A, one staircase per eigenvalue cluster
 # ---------------------------------------------------------------------------
 
 
-def _cluster_eigenvalues(
-    vals: np.ndarray, scale: float, cluster_tol: float = CLUSTER_TOL
-) -> list[tuple[complex, int, float]]:
-    """(center, multiplicity, radius) groups at the clustering tolerance."""
+def _cluster_eigenvalues(vals: np.ndarray, scale: float, cluster_tol: float = CLUSTER_TOL) -> list[tuple[complex, int]]:
+    """(center, multiplicity) groups at the clustering tolerance."""
     tol = cluster_tol * (1.0 + scale)
     order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
     groups: list[list[int]] = []
@@ -366,215 +365,104 @@ def _cluster_eigenvalues(
                 break
         if not placed:
             groups.append([i])
-    out = []
-    for g in groups:
-        center = complex(np.mean([vals[j] for j in g]))
-        radius = max((abs(vals[j] - center) for j in g), default=0.0)
-        out.append((center, len(g), float(radius)))
-    return out
+    return [(complex(np.mean([vals[j] for j in g])), len(g)) for g in groups]
 
 
-def _weyr_guess(m: np.ndarray, sigma: complex, mult: int, radius: float) -> list[int]:
-    """Jordan-size estimate for one cluster; only a ranking prior, since the
-    intertwiner verification arbitrates among all structural candidates."""
-    n = m.shape[0]
-    if mult == 1:
-        return [1]
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    # the cutoff must sit above the cluster's own scatter but below genuine
-    # coupling structure; powers widen it geometrically with the scale
-    base = max(WEYR_FLOOR * scale, 10.0 * radius)
-    shifted = m - sigma * np.eye(n)
-    power = np.eye(n, dtype=complex)
-    nullities = [0]
-    for j in range(1, mult + 1):
-        power = power @ shifted
-        svals = np.linalg.svd(power, compute_uv=False)
-        thresh = base * scale ** (j - 1)
-        rank = int(np.sum(svals > thresh))
-        nullities.append(min(n - rank, mult))
-        if nullities[-1] >= mult:
-            break
-    ge_counts = [nullities[j] - nullities[j - 1] for j in range(1, len(nullities))]
-    if any(ge_counts[j] > ge_counts[j - 1] for j in range(1, len(ge_counts))):
-        return [1] * mult
-    sizes = []
-    for j, c in enumerate(ge_counts, start=1):
-        nxt = ge_counts[j] if j < len(ge_counts) else 0
-        sizes.extend([j] * (c - nxt))
-    if sum(sizes) != mult:
-        return [1] * mult
-    return sorted(sizes, reverse=True)
+def _weyr_characteristic(x: np.ndarray, mult: int, norm: float, consimilar: bool = False) -> list[int]:
+    """Weyr characteristic nu_1 >= nu_2 >= ..., sum mult, of the cluster
+    that x carries at 0, from a staircase of unitary deflations
+    (Kublanovskaya; Kagstrom and Ruhe, ACM TOMS 6, 1980).
 
-
-def _partitions(total: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for k in range(min(remaining, cap), 0, -1):
-            acc.append(k)
-            rec(remaining - k, k, acc)
-            acc.pop()
-
-    rec(total, total, [])
-    return out
-
-
-def _multiset_distance(a, b) -> int:
-    ca, cb = Counter(a), Counter(b)
-    return sum(((ca - cb) + (cb - ca)).values())
-
-
-def _implied_zero_sizes(partition) -> list[int]:
-    """Jordan sizes of conj(A)A at 0 produced by J_k(0) blocks of A:
-    each k contributes ceil(k/2) and (when positive) floor(k/2)."""
-    sizes = []
-    for k in partition:
-        sizes.append((k + 1) // 2)
-        if k // 2:
-            sizes.append(k // 2)
-    return sorted(sizes, reverse=True)
-
-
-def _cluster_options(
-    kind: str, sigma: complex, mult: int, guess: list[int], per_cluster_cap: int = 12
-) -> list[tuple[int, list[ConCanonicalBlock]]]:
-    """(prior distance, block list) choices for one cluster, best first.
-
-    The single-block and the all-ones partitions always survive the cap:
-    they are the common structured cases and a scattered cluster can rank
-    them arbitrarily far from the Weyr estimate."""
-    opts: list[tuple[int, list[ConCanonicalBlock]]] = []
-    if kind == "zero":
-        for p in _partitions(mult):
-            d = _multiset_distance(_implied_zero_sizes(p), guess)
-            opts.append((d, [ConCanonicalBlock("J", k, 0.0) for k in p]))
-    elif kind == "positive":
-        lam = float(np.sqrt(sigma.real))
-        for p in _partitions(mult):
-            opts.append((_multiset_distance(p, guess), [ConCanonicalBlock("J", k, lam) for k in p]))
-    elif kind == "negative":
-        if mult % 2:
-            return []
-        for q in _partitions(mult // 2):
-            implied = sorted((k for k in q for _ in range(2)), reverse=True)
-            opts.append(
-                (_multiset_distance(implied, guess), [ConCanonicalBlock("H", k, complex(sigma.real)) for k in q])
-            )
-    else:  # conjugate pair, labelled by the Im > 0 member
-        for p in _partitions(mult):
-            opts.append((_multiset_distance(p, guess), [ConCanonicalBlock("H", k, sigma) for k in p]))
-    opts.sort(key=lambda t: (t[0], [-b.size for b in t[1]]))
-    keep = opts[:per_cluster_cap]
-    kept = {tuple(b.size for b in o[1]) for o in keep}
-    for o in opts[per_cluster_cap:]:
-        sizes = tuple(b.size for b in o[1])
-        if (len(sizes) == 1 or set(sizes) == {1}) and sizes not in kept:
-            keep.append(o)
-            kept.add(sizes)
-    return keep
-
-
-def _ranked_products(option_lists, cap: int = 64):
-    """Best-first cartesian product of per-cluster options by total prior."""
-    k = len(option_lists)
-    if k == 0:
-        return [(0, [])]
-    start_idx = (0,) * k
-    start = (sum(o[0][0] for o in option_lists), start_idx)
-    heap = [start]
-    seen = {start_idx}
-    out = []
-    while heap and len(out) < cap:
-        dist, idx = heapq.heappop(heap)
-        blocks: list[ConCanonicalBlock] = []
-        for i in range(k):
-            blocks.extend(option_lists[i][idx[i]][1])
-        out.append((dist, blocks))
-        for i in range(k):
-            if idx[i] + 1 < len(option_lists[i]):
-                nidx = idx[:i] + (idx[i] + 1,) + idx[i + 1 :]
-                if nidx not in seen:
-                    seen.add(nidx)
-                    ndist = dist - option_lists[i][idx[i]][0] + option_lists[i][idx[i] + 1][0]
-                    heapq.heappush(heap, (ndist, nidx))
-    return out
-
-
-def _structural_rank(blocks: list[ConCanonicalBlock]) -> int:
-    r = 0
-    for b in blocks:
-        if b.kind == "H":
-            r += 2 * b.size
-        else:
-            r += b.size if abs(b.param) > 0 else b.size - 1
-    return r
+    Each step takes one SVD of the current k-by-k x, floors its singular
+    values s_1 >= ... >= s_k at 8 k eps norm, with s_0 = norm (the 2-norm
+    of the unshifted matrix), and chooses the nullity c in
+    [1, min(nu_{j-1}, mult - sum nu)] at the largest ratio s_{k-c} /
+    s_{k-c+1} (ties to the larger c).  x is then compressed onto the
+    complement of its chosen null space: V^H x V under similarity, where
+    the nullities are those of the powers of x, and V^T x V under
+    consimilarity, where they are those of the alternating products x,
+    conj(x) x, x conj(x) x, ... (Hong and Horn, LAA 102, 1988)."""
+    nu: list[int] = []
+    while sum(nu) < mult:
+        k = x.shape[0]
+        try:
+            w, sv, vh = np.linalg.svd(x)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK cap
+            raise ConvergenceFailure(str(exc)) from exc
+        s = np.maximum(np.concatenate([[norm], sv]), max(8 * k * np.finfo(float).eps * norm, np.finfo(float).tiny))
+        top = min(nu[-1] if nu else mult, mult - sum(nu))
+        ratios = s[k - top : k] / s[k - top + 1 : k + 1]  # c = top, ..., 1
+        c = top - int(np.argmax(ratios))
+        nu.append(c)
+        keep = vh[: k - c].conj() if consimilar else vh[: k - c]
+        x = keep @ (w[:, : k - c] * sv[: k - c])
+    return nu
 
 
 def _candidate_blocks(
-    m: np.ndarray, vals: np.ndarray, rank_a: int, cluster_tol: float = CLUSTER_TOL
-) -> list[list[ConCanonicalBlock]]:
-    """Block assignments for conj(A) A = m with eigenvalues vals, best
-    first.  A cluster near 0 reads as zero only when A is numerically
-    singular (rank_a < n): a nonsingular A has no J(0) block, however small
-    its smallest eigenvalue of conj(A) A."""
-    scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    arr: np.ndarray, m: np.ndarray, vals: np.ndarray, rank_a: int, norm_a: float, cluster_tol: float = CLUSTER_TOL
+) -> list[ConCanonicalBlock]:
+    """The block reading of A = arr, conj(A) A = m with eigenvalues vals,
+    at one clustering tolerance.
+
+    A cluster near 0 reads as zero only when A is numerically singular
+    (rank_a < n): a nonsingular A has no J(0) block, however small its
+    smallest eigenvalue of conj(A) A.  Its J_k(0) sizes are the staircase
+    of A under consimilarity; a cluster at sigma != 0 takes the staircase
+    of m - sigma I.  A multiplicity-1 cluster is one block of size 1."""
+    n = len(vals)
+    scale = float(np.max(np.abs(vals))) if n else 0.0
     tol = cluster_tol * (1.0 + scale)
     clusters = _cluster_eigenvalues(vals, scale, cluster_tol)
+    norm_m = functools.cache(lambda: float(np.linalg.norm(m, 2)))
 
-    option_lists = []
+    def sizes(mult: int, sigma: complex | None = None) -> list[int]:
+        """Block sizes, largest first, of the cluster at sigma, or of the
+        J(0) blocks of A: nu_j of them have size >= j."""
+        if mult == 1:
+            return [1]
+        if sigma is None:
+            nu = _weyr_characteristic(arr, mult, norm_a, consimilar=True)
+        else:
+            nu = _weyr_characteristic(m - sigma * np.eye(n), mult, norm_m())
+        return [sum(v > i for v in nu) for i in range(nu[0])]
+
+    blocks: list[ConCanonicalBlock] = []
     consumed = [False] * len(clusters)
-    for i, (sigma, mult, radius) in enumerate(clusters):
+    for i, (sigma, mult) in enumerate(clusters):
         if consumed[i]:
             continue
-        if abs(sigma) <= tol and rank_a < len(vals):
-            kind, label = "zero", 0.0
+        if abs(sigma) <= tol and rank_a < n:
+            blocks += [ConCanonicalBlock("J", k, 0.0) for k in sizes(mult)]
+        elif abs(sigma.imag) <= tol and sigma.real > 0:
+            blocks += [ConCanonicalBlock("J", k, float(np.sqrt(sigma.real))) for k in sizes(mult, sigma)]
         elif abs(sigma.imag) <= tol:
-            kind, label = ("positive", sigma) if sigma.real > 0 else ("negative", sigma)
+            # H_m(mu), mu < 0, gives conj(A) A two J_m(mu)
+            pairs = sizes(mult, sigma)
+            if pairs[::2] != pairs[1::2]:
+                raise ConCanonicalError(f"unpaired Jordan sizes {pairs} at {sigma:.6g}")
+            blocks += [ConCanonicalBlock("H", k, complex(sigma.real)) for k in pairs[::2]]
         elif sigma.imag > 0:
-            kind, label = "pair", sigma
             partner = None
-            for j, (tau, pmult, _) in enumerate(clusters):
+            for j, (tau, pmult) in enumerate(clusters):
                 if not consumed[j] and tau.imag < -tol and abs(np.conj(sigma) - tau) <= 2 * tol * (1 + abs(sigma)):
                     partner = j
                     break
             if partner is None or clusters[partner][1] != mult:
                 raise ConCanonicalError(f"no matching conjugate cluster for {sigma:.6g}")
             consumed[partner] = True
+            blocks += [ConCanonicalBlock("H", k, sigma) for k in sizes(mult, sigma)]
         else:
             continue  # Im < 0: claimed by its Im > 0 partner, checked below
         consumed[i] = True
-        guess = _weyr_guess(m, complex(label) if kind != "zero" else 0.0, mult, radius)
-        opts = _cluster_options(kind, complex(label), mult, guess)
-        if not opts:
-            raise ConCanonicalError(f"no structurally consistent blocks at {sigma:.6g}")
-        option_lists.append(opts)
-    for i, (sigma, mult, radius) in enumerate(clusters):
+    for i, (sigma, _) in enumerate(clusters):
         if not consumed[i] and sigma.imag < -tol:
             raise ConCanonicalError(f"unpaired conjugate cluster at {sigma:.6g}")
-
-    ranked = _ranked_products(option_lists)
-    keyed = []
-    for dist, blocks in ranked:
-        blocks = sorted(
-            blocks, key=lambda b: (b.kind, -b.size, complex(b.param).real, complex(b.param).imag)
-        )
-        key = tuple((b.kind, b.size, complex(b.param).real, complex(b.param).imag) for b in blocks)
-        keyed.append((dist, abs(_structural_rank(blocks) - rank_a), key, blocks))
-    keyed.sort(key=lambda t: t[:3])
-    out, seen = [], set()
-    for _, _, key, blocks in keyed:
-        if key not in seen:
-            seen.add(key)
-            out.append(blocks)
-    return out
+    return sorted(blocks, key=lambda b: (b.kind, -b.size, complex(b.param).real, complex(b.param).imag))
 
 
 def _summary(tried: list[tuple[list[ConCanonicalBlock], str | float]]) -> str:
-    """The refused candidates counted by reason, with the best residual."""
+    """The refused readings counted by reason, with the best residual."""
     residuals = [o for _, o in tried if isinstance(o, float)]
     counts = Counter("residual" if isinstance(o, float) else o for _, o in tried)
     text = f"{len(tried)} tried" + "".join(f", {k} {v}" for k, v in sorted(counts.items()))
@@ -582,9 +470,9 @@ def _summary(tried: list[tuple[list[ConCanonicalBlock], str | float]]) -> str:
 
 
 def _read_blocks(a: Matrix, block_target, seed: int, tol: Tolerance) -> tuple[list[ConCanonicalBlock], Matrix, Matrix]:
-    """(blocks, S, target) for the first candidate block assignment of A
-    whose target, the direct sum of block_target(b) over its blocks, admits
-    a residual-verified intertwiner S from solve_consimilarity."""
+    """(blocks, S, target) for the first block reading of A whose target,
+    the direct sum of block_target(b) over its blocks, admits a
+    residual-verified intertwiner S from solve_consimilarity."""
     arr = a.to_array()
     m = np.conj(arr) @ arr
     rank_a = numerical_rank(arr)
@@ -599,22 +487,20 @@ def _read_blocks(a: Matrix, block_target, seed: int, tol: Tolerance) -> tuple[li
         # tolerance, and the residual check keeps coarser readings honest
         for factor in (1.0, 10.0, 100.0, 1000.0):
             try:
-                candidates = _candidate_blocks(m, vals, rank_a, CLUSTER_TOL * factor)
+                blocks = _candidate_blocks(arr, m, vals, rank_a, norm_a, CLUSTER_TOL * factor)
             except ConCanonicalError:
                 continue
-            for blocks in candidates:
-                key = tuple(
-                    (b.kind, b.size, round(complex(b.param).real, 9), round(complex(b.param).imag, 9))
-                    for b in blocks
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                target = direct_sum(*[block_target(b) for b in blocks]) if blocks else Matrix.zeros(a.n)
-                s = solve_consimilarity(a, target, seed=seed, tol=tol)
-                if s is not None:
-                    return blocks, s, target
-                tried.append((blocks, _failure.get()))
+            key = tuple(
+                (b.kind, b.size, round(complex(b.param).real, 9), round(complex(b.param).imag, 9)) for b in blocks
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+            target = direct_sum(*[block_target(b) for b in blocks]) if blocks else Matrix.zeros(a.n)
+            s = solve_consimilarity(a, target, seed=seed, tol=tol)
+            if s is not None:
+                return blocks, s, target
+            tried.append((blocks, _failure.get()))
     finally:
         _shared_spectral.reset(token)
     raise ConCanonicalError(f"no candidate block assignment verified ({_summary(tried)})", tried=tried)
@@ -628,9 +514,12 @@ def concanonical_form(
 ) -> ConCanonicalForm:
     """Consimilarity canonical form with a residual-verified transform.
 
-    Candidate block assignments are tried in order of how well their
-    structural rank matches the numerical rank of A; the first candidate
-    admitting a nonsingular intertwiner wins.
+    Each eigenvalue cluster of conj(A) A gives its block sizes through one
+    staircase of unitary deflations (see _weyr_characteristic), so the
+    clustering tolerance fixes one reading.  It is solved for a
+    nonsingular intertwiner; a refused reading is read again at
+    CLUSTER_TOL times 10, 100 and 1000, and ConCanonicalError lists every
+    refusal when none verifies.
     """
     if a.pathway != "floating":
         raise PathwayMismatch("concanonical_form requires the floating pathway")
@@ -671,7 +560,7 @@ def consimilar_to_real(
 ) -> tuple[Matrix, Matrix]:
     """(S, B) with B real and A S = conj(S) B within tol.
 
-    A is read like concanonical_form reads it, and each candidate is solved
+    A is read like concanonical_form reads it, and each reading is solved
     straight onto a block-diagonal real target: J_m(lambda) stays, and
     H_m(mu) becomes the real chain of (sqrt(mu), conj sqrt(mu)) (Hong and
     Horn, LAA 102, 1988).  S is that one verified solve: ||S||_F = sqrt(n).

@@ -555,8 +555,10 @@ def involutory_diagonalizable_split(a: Matrix, reserved=()) -> ExactSplit:
 
 def _split_by_components(a: Matrix, comps: list[list[int]], reserved) -> ExactSplit:
     """Per-component recursion scattered back in place; direct-sum structure
-    makes the global conjugations unnecessary."""
+    makes the global conjugations unnecessary.  The 1-by-1 components
+    choose first, as the 1-by-1 blocks do within one component."""
     n = a.n
+    comps = sorted(comps, key=lambda comp: len(comp) > 1)
     splits = []
     spectrum: list[Fraction] = [Fraction(0)] * n
     used: set[Fraction] = {Fraction(x) for x in reserved}

@@ -31,3 +31,17 @@ def well_conditioned(rng, n, cap=100.0, real=False):
 def random_coninvolutory(rng, n, cap=50.0):
     t = well_conditioned(rng, n, cap)
     return t.conj().inverse() @ t
+
+
+def read_pairs_as_h2(monkeypatch):
+    """Make the consimilarity reader take H_2(mu) + H_2(nu) for the frozen
+    input tests/data/skew_certificate_miss_n8.json, mu and nu the means of
+    the eigenvalues of conj(A) A below and above -1.  Its -1.43 pairs lie
+    4.9e-6 apart, so this reading verifies only through cond(S) ~ 7.6e5."""
+    from coninv import concanon
+
+    def h2_reading(arr, m, vals, *args):
+        sides = (vals.real < -1, vals.real > -1)
+        return [concanon.ConCanonicalBlock("H", 2, complex(np.mean(vals[side]).real)) for side in sides]
+
+    monkeypatch.setattr(concanon, "_candidate_blocks", h2_reading)

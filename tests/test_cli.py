@@ -7,6 +7,8 @@ import pytest
 from coninv.cli import main
 from coninv.matcore import matrix_from_json
 
+from conftest import read_pairs_as_h2
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -270,12 +272,21 @@ def test_skew_parameter_cap_is_numerical(capsys, monkeypatch):
     assert "numerical failure" in err and "pair values 2, 3 too close" in err and "parameter cap" in err
 
 
-def test_missed_skew_certificate_is_numerical(capsys):
+def test_missed_skew_certificate_is_numerical(capsys, monkeypatch):
     doc = (Path(__file__).parent / "data" / "skew_certificate_miss_n8.json").read_text()
+    read_pairs_as_h2(monkeypatch)
     code, out, err = run(capsys, "decompose", "--kind", "skew", "--json", doc)
     assert code == 3
     assert out == ""
     assert "numerical failure" in err and "skew sum misses its certificate" in err
+
+
+def test_unread_canonical_form_is_numerical(capsys):
+    doc = (Path(__file__).parent / "data" / "skew_certificate_miss_n8.json").read_text()
+    code, out, err = run(capsys, "decompose", "--kind", "skew", "--json", doc)
+    assert code == 3
+    assert out == ""
+    assert "canonical-form failure" in err and "empty kernel" in err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coninv import (
     ConCanonicalBlock,
@@ -17,7 +19,7 @@ from coninv import (
     skew_base,
     solve_consimilarity,
 )
-from coninv.concanon import _consim_operator, _diagonal_blocks, _implied_zero_sizes, _partitions, _real_pair_block
+from coninv.concanon import _consim_operator, _diagonal_blocks, _real_pair_block, _weyr_characteristic
 from coninv.matcore import DEFAULT_TOL, PathwayMismatch, Tolerance, UnsupportedSize
 
 from conftest import random_complex, random_coninvolutory, well_conditioned
@@ -181,13 +183,6 @@ class TestConCanonicalForm:
                 map(block_key, concanonical_form(target).blocks)
             )
 
-    def test_zero_size_bookkeeping(self):
-        # J_k(0)^2 has Jordan sizes ceil(k/2), floor(k/2)
-        assert _implied_zero_sizes((2,)) == [1, 1]
-        assert _implied_zero_sizes((3,)) == [2, 1]
-        assert _implied_zero_sizes((3, 1)) == [2, 1, 1]
-        assert set(_partitions(4)) == {(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
-
     def test_larger_nilpotent_structures(self):
         j3 = jordan_block(3, 0.0)
         form = concanonical_form(direct_sum(j3, jordan_block(1, 0.0)))
@@ -216,6 +211,66 @@ class TestConCanonicalForm:
         form = concanonical_form(moved)
         assert [(b.kind, b.size) for b in form.blocks] == [("J", 4)]
         assert abs(complex(form.blocks[0].param).real - 1.1) < 1e-3
+
+
+def weyr(sizes):
+    """Weyr characteristic of a Jordan sum with these block sizes."""
+    return [sum(k >= j for k in sizes) for j in range(1, max(sizes) + 1)]
+
+
+class TestStaircase:
+    """The staircase reads exact, unhidden Jordan sums exactly: J_k(lam)
+    with lam > 0 from conj(A) A - lam^2 I, J_k(0) from A itself."""
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(3, 0.5)] * 2,
+            [(3, 0.5), (3, 0.5), (2, 0.5)],
+            [(2, 0.0)] * 2,
+            [(1, 0.0)] * 4,
+            [(5, 0.0), (3, 0.0), (3, 0.0), (2, 0.0), (1, 0.0)],
+        ],
+        ids=["J3(0.5)^2", "J3(0.5)^2+J2(0.5)", "J2(0)^2", "0_4", "J5(0)+J3(0)^2+J2(0)+J1(0)"],
+    )
+    def test_exact_sums_read_exactly(self, blocks):
+        a = direct_sum(*[jordan_block(m, lam) for m, lam in blocks]).to_array()
+        sizes = [m for m, _ in blocks]
+        lam = blocks[0][1]
+        if lam:
+            m = np.conj(a) @ a
+            x, norm, consimilar = m - lam**2 * np.eye(len(a)), np.linalg.norm(m, 2), False
+        else:
+            x, norm, consimilar = a, np.linalg.norm(a, 2), True
+        assert _weyr_characteristic(x, len(a), norm, consimilar) == weyr(sizes)
+        form = concanonical_form(Matrix.floating(a))
+        assert [(b.kind, b.size) for b in form.blocks] == [("J", m) for m in sizes]
+        assert all(b.param == pytest.approx(lam, abs=1e-12) for b in form.blocks)
+
+
+@st.composite
+def hidden_nilpotent_parts(draw):
+    """(X, sizes, consimilar): J_k(0) blocks of these sizes beside J_1(1.5)
+    and J_2(0.5), hidden by a complex T with cond <= 10 through a
+    consimilarity conj(T)^-1 B T or a similarity T^-1 B T."""
+    sizes = sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)), reverse=True)
+    b = direct_sum(*[jordan_block(k, 0.0) for k in sizes], jordan_block(1, 1.5), jordan_block(2, 0.5)).to_array()
+    consimilar = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        t = np.eye(len(b)) + 0.2 * (rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape))
+        if np.linalg.cond(t) <= 10:
+            return np.linalg.solve(np.conj(t) if consimilar else t, b) @ t, sizes, consimilar
+
+
+@settings(max_examples=60)
+@given(case=hidden_nilpotent_parts(), exponent=st.floats(-6, 6))
+def test_weyr_characteristic_is_scale_invariant(case, exponent):
+    x, sizes, consimilar = case
+    c = 10.0**exponent
+    read = _weyr_characteristic(x, sum(sizes), np.linalg.norm(x, 2), consimilar)
+    assert _weyr_characteristic(c * x, sum(sizes), np.linalg.norm(c * x, 2), consimilar) == read
+    assert read == weyr(sizes)
 
 
 class TestConsimilarToReal:
@@ -285,7 +340,7 @@ ONE_SOLVE_INPUTS = [
 
 
 class TestConsimilarToRealOneSolve:
-    """consimilar_to_real reads the candidates of concanonical_form and
+    """consimilar_to_real reads the blocks of concanonical_form and
     solves A straight onto the real target, H_m(mu) as the real chain of
     sqrt(mu)."""
 

@@ -400,6 +400,25 @@ def test_thm1a_scalar_blocks_choose_first(sizes, lam):
         assert len(set(sp.spectrum)) == a.n
 
 
+@pytest.mark.parametrize("lam", range(-2, 3))
+@pytest.mark.parametrize(
+    "sizes", [(2, 1), (3, 1), (2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 2, 1), (4, 1), (3, 3, 1), (2, 1, 1, 1)], ids=str
+)
+def test_thm1a_scalar_components_choose_first(sizes, lam):
+    # the unit upper bidiagonal T = I + (ones above the diagonal) leaves a
+    # permuted direct sum; a 1-by-1 component [lam] once split after a larger
+    # component that had taken both lam - 1 and lam + 1
+    a = direct_sum(*[jordan(m, F(lam)) for m in sizes])
+    t = Matrix.exact([[int(j in (i, i + 1)) for j in range(a.n)] for i in range(a.n)])
+    a = t.inverse() @ a @ t
+    sp = involutory_diagonalizable_split(a)
+    assert sp.V @ sp.V == Matrix.identity(a.n, "exact")
+    assert sp.V + sp.D == a
+    assert sp.W.inverse() @ sp.D @ sp.W == Matrix.diag(sp.spectrum, "exact")
+    if sizes.count(1) <= 2:
+        assert len(set(sp.spectrum)) == a.n
+
+
 class TestInvolutorySplit:
     def test_frozen_quadratic(self):
         sp = involutory_split_companion(Polynomial((F(0), F(0))), [3, -1])

@@ -28,7 +28,7 @@ from coninv.matcore import ConvergenceFailure, MatrixError, UnsupportedSize, mat
 from coninv.skewsum import ParameterCapExceeded, skew_identity_pair, skew_traceless_pair, straddle_block
 
 import gaussq
-from conftest import random_complex
+from conftest import random_complex, read_pairs_as_h2
 
 DATA = Path(__file__).parent / "data"
 
@@ -361,7 +361,7 @@ def test_hidden_canonical_sums(case):
     _, a = case
     try:
         d = skew_coninvolutory_sum(a)  # checks its certificate before returning
-    except (MatrixError, ConCanonicalError):
+    except MatrixError:
         return  # a typed error that says why
     assert verify_decomposition(a, d).passed
     assert d.count <= 5 and not d.flags
@@ -392,23 +392,29 @@ def test_jordan_sums_take_at_most_five(case):
         d = skew_sum_jordan(b)
         assert verify_decomposition(b, d).passed
         assert d.count <= 5 and not d.flags
-    try:
-        d = skew_coninvolutory_sum(a)  # checks its certificate before returning
-    except ConCanonicalError:
-        assert a is not b  # a hidden input the canonical form could not read
-        return
+    d = skew_coninvolutory_sum(a)  # checks its certificate before returning
     assert verify_decomposition(a, d).passed
     assert d.count <= 5 and not d.flags
 
 
 class TestCertificateCheck:
-    def test_missed_certificate_raises(self):
-        # structured-envelope seed 306, round 109, operation 18: a hidden
-        # H2(-1.43) + H2(-0.33) read through cond(S) ~ 7.6e5, whose sum
-        # used to come back failing its certificate without an error
+    def test_missed_certificate_raises(self, monkeypatch):
+        # structured-envelope seed 306, round 109, operation 18, read as
+        # H2(-1.43) + H2(-0.33) through cond(S) ~ 7.6e5: its sum used to
+        # come back failing its certificate without an error
         a = matrix_from_json(json.loads((DATA / "skew_certificate_miss_n8.json").read_text()))
         assert a.n == 8
+        read_pairs_as_h2(monkeypatch)
         with pytest.raises(ConvergenceFailure, match="skew sum misses its certificate"):
+            skew_coninvolutory_sum(a)
+
+    def test_close_pairs_fail_typed(self):
+        # the same input is H1(mu1) + H1(mu2) + H2(-0.33) with cond(S) = 12,
+        # but mu1 - mu2 = 4.9e-6 lies inside the clustering tolerance: the
+        # staircase reads the merged cluster as H1(-1.43)^2, which has no
+        # intertwiner
+        a = matrix_from_json(json.loads((DATA / "skew_certificate_miss_n8.json").read_text()))
+        with pytest.raises(ConCanonicalError, match="empty kernel"):
             skew_coninvolutory_sum(a)
 
     def test_corrupted_summands_raise(self, monkeypatch, rng):
