@@ -7,6 +7,14 @@ No polynomial is ever factored: the Frobenius form comes from one cyclic
 decomposition, and the split works on any companion block.  Everything
 here runs on the exact pathway: results are bit-exact rationals and the
 defining residuals are asserted to be literally zero.
+
+The similarity is checked as A Q = Q C, with Q = S^{-1} the transform
+the cyclic decomposition builds and C the direct sum of companions; S
+itself is computed only when it is first read.  thm1a never reads it: each
+involutory block differs from I in its last column only, so the
+conjugated involution Q G Q^{-1} is I plus one rank-one correction per
+block, whose rows of Q^{-1} come from one elimination of Q^T.  The
+companion splits run on integer rows over a common denominator.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .matcore import (
@@ -95,15 +104,6 @@ def is_squarefree(f: Polynomial) -> bool:
     return len(_pgcd(c, _pderiv(c))) == 1
 
 
-def poly_eval_matrix(f: Polynomial, a: Matrix) -> Matrix:
-    """Horner evaluation of f at a square matrix."""
-    ident = Matrix.identity(a.n, a.pathway)
-    acc = ident
-    for c in f.a:
-        acc = acc @ a - c * ident
-    return acc
-
-
 def poly_to_json(f: Polynomial) -> dict:
     return {"m": f.m, "a": [str(Fraction(c)) for c in f.a]}
 
@@ -120,33 +120,14 @@ def poly_from_json(d: dict) -> Polynomial:
 def companion(f: Polynomial) -> Matrix:
     """Companion matrix: subdiagonal ones, last column (am, ..., a1)^T."""
     m = f.m
-    a = [Fraction(c) for c in f.a]
-    grid = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(1, m):
-        grid[i][i - 1] = Fraction(1)
-    for i in range(m):
-        grid[i][m - 1] = a[m - 1 - i]
-    return Matrix.exact(grid)
+    (last,), den = _integer_grid([[Fraction(c) for c in reversed(f.a)]])
+    grid = [[den * (j == i - 1) for j in range(m - 1)] + [x] for i, x in enumerate(last)]
+    return Matrix._grid(grid, den)
 
 
 # ---------------------------------------------------------------------------
 # exact dense linear algebra helpers
 # ---------------------------------------------------------------------------
-
-
-def _exact_nullspace(m: Matrix) -> list[list[Fraction]]:
-    """Basis of the right nullspace over Q (list of length-n vectors)."""
-    n = m.n
-    rows = [list(r) for r in m._d]
-    pivots = _eliminate(rows, n)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[ri][fc], rows[ri][pc])
-        basis.append(v)
-    return basis
 
 
 def _vector_order(grid: tuple[list[list[int]], int], v: list[int]) -> tuple[Polynomial, list[list[int]]]:
@@ -227,12 +208,16 @@ class FrobeniusForm:
     """blocks are the invariant factors f_1, f_2, ... of A, the
     characteristic polynomials of its companion blocks: f_(i+1) divides f_i,
     f_1 is the minimal polynomial and their product the characteristic
-    polynomial.  S satisfies S A S^{-1} = direct-sum of companions, and
-    S_inv is S^{-1}."""
+    polynomial.  S_inv satisfies A S_inv = S_inv (direct-sum of companions),
+    and S, which gives S A S^{-1} = direct-sum of companions, is S_inv^{-1},
+    computed when it is first read."""
 
     blocks: list[Polynomial]
-    S: Matrix
     S_inv: Matrix
+
+    @cached_property
+    def S(self) -> Matrix:
+        return self.S_inv.inverse()
 
     def companion_sum(self) -> Matrix:
         return direct_sum(*[companion(f) for f in self.blocks])
@@ -382,15 +367,16 @@ def _cyclic_blocks(m: Matrix) -> tuple[Matrix, list[Polynomial]]:
 
 def frobenius_form(a: Matrix) -> FrobeniusForm:
     """Invariant-factor (rational canonical) form with similarity, verified
-    exactly.  No polynomial is factored: `_cyclic_blocks` splits off one
-    companion block per invariant factor by cyclic deflation.
+    exactly as A Q = Q C for Q = S_inv and C the direct sum of companions.
+    No polynomial is factored: `_cyclic_blocks` splits off one companion
+    block per invariant factor by cyclic deflation, and builds Q invertible.
+    Nothing here inverts Q; the form's S is computed when first read.
     """
     if a.pathway != "exact":
         raise PathwayMismatch("frobenius_form requires the exact pathway")
     q, blocks = _cyclic_blocks(a)
-    s = q.inverse()
-    form = FrobeniusForm(blocks=blocks, S=s, S_inv=q)
-    if (s @ a) != (form.companion_sum() @ s):
+    form = FrobeniusForm(blocks=blocks, S_inv=q)
+    if (a @ q) != (q @ form.companion_sum()):
         raise ArithmeticError("Frobenius residual is nonzero")  # pragma: no cover
     return form
 
@@ -413,7 +399,13 @@ class InvolutorySplit:
 
 def involutory_split_companion(f: Polynomial, lambdas) -> InvolutorySplit:
     """Split companion(f) = G + D with G involutory and D similar to
-    diag(lambda_i - 1), for pairwise distinct lambdas summing to a1 + 2."""
+    diag(lambda_i - 1), for pairwise distinct lambdas summing to a1 + 2.
+
+    G differs from I only in its last column.  G, D and the eigenvector
+    matrix R are built as integer rows: the lambdas over their common
+    denominator L, the elementary symmetric functions of their numerators
+    by integer root expansion, and row i of R over L^(m-1-i).
+    """
     lams = tuple(Fraction(x) for x in lambdas)
     m = f.m
     if m < 2:
@@ -426,17 +418,25 @@ def involutory_split_companion(f: Polynomial, lambdas) -> InvolutorySplit:
     if sum(lams) != a[0] + 2:
         raise ValueError(f"lambda values must sum to a1 + 2 = {a[0] + 2}")
 
-    target = Polynomial.from_roots(lams)  # x^m - g1 x^(m-1) - ... - gm
-    g = [Fraction(c) for c in target.a]
-    # companion(f) - G + I must be the companion-type matrix of `target`:
-    # its last column is (c_m, ..., c_2, a1+2) with c_j = g_j, so b_j = a_j - g_j.
-    b = [a[j] - g[j] for j in range(1, m)]  # b_2, ..., b_m
-
-    grid = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    grid[m - 1][m - 1] = Fraction(-1)
-    for i in range(m - 1):
-        grid[i][m - 1] = b[m - 2 - i]  # row 0 -> b_m, row m-2 -> b_2
-    gmat = Matrix.exact(grid)
+    # with lambda_i = p_i / L over the common denominator L, the target
+    # prod (x - lambda_i) = x^m - g1 x^(m-1) - ... - gm has g_j = -c_j / L^j,
+    # for prod (x - p_i) = c_0 x^m + c_1 x^(m-1) + ... + c_m in integers
+    (p,), lden = _integer_grid([lams])
+    c = [1]
+    for root in p:
+        c = [x - root * y for x, y in zip(c + [0], [0] + c)]
+    # companion(f) - G + I must be the companion-type matrix of the target:
+    # its last column is (g_m, ..., g_2, a1+2), so G's last column is
+    # (b_m, ..., b_2, -1) with b_j = a_j - g_j, over F L^m for a_j = alpha_j / F
+    (alpha,), fden = _integer_grid([a])
+    top = lden**m
+    den = fden * top
+    grid = [[den * (i == j) for j in range(m - 1)] for i in range(m)]
+    for i, row in enumerate(grid[:-1]):
+        j = m - i  # row 0 -> b_m, row m-2 -> b_2
+        row.append(alpha[j - 1] * top + c[j] * fden * lden ** (m - j))
+    grid[m - 1].append(-den)
+    gmat = Matrix._grid(grid, den)
     fmat = companion(f)
     d = fmat - gmat
 
@@ -444,16 +444,16 @@ def involutory_split_companion(f: Polynomial, lambdas) -> InvolutorySplit:
     if gmat @ gmat != ident:
         raise ArithmeticError("constructed G is not involutory")  # pragma: no cover
 
-    # eigenvectors of D + I by companion back-substitution, v[m-1] = 1
-    last_col = [g[m - 1 - i] for i in range(m)]  # row 0 -> g_m, row m-1 -> g_1
+    # eigenvectors of D + I by companion back-substitution, v[m-1] = 1 and
+    # v[i-1] = lambda v[i] + c_(m-i) / L^(m-i); w[i] = L^(m-1-i) v[i] are integers
     cols = []
-    for lam in lams:
-        v = [Fraction(0)] * m
-        v[m - 1] = Fraction(1)
+    for root in p:
+        w = [0] * m
+        w[m - 1] = 1
         for i in range(m - 1, 0, -1):
-            v[i - 1] = lam * v[i] - last_col[i]
-        cols.append(v)
-    r = Matrix.exact([[cols[j][i] for j in range(m)] for i in range(m)])
+            w[i - 1] = root * w[i] + c[m - i]
+        cols.append(w)
+    r = Matrix._rows_over([[w[i] for w in cols] for i in range(m)], [lden ** (m - 1 - i) for i in range(m)])
     dpi = d + ident
     if (dpi @ r) != (r @ Matrix.diag(lams, "exact")):
         raise ArithmeticError("eigenvector residual is nonzero")  # pragma: no cover
@@ -516,6 +516,47 @@ def _split_block(f: Polynomial, used: set[Fraction]) -> tuple[Matrix, Matrix, Ma
     return split.G, split.D, split.R, tuple(x - 1 for x in lams)
 
 
+def _conjugate_involution(q: Matrix, g_blocks) -> Matrix:
+    """Q (direct sum of g_blocks) Q^{-1}, for blocks that differ from I only
+    in their last column, as the companion splits do, without Q^{-1}.
+
+    Block k is I + u_k e_last^T, so the product is I + sum_k (Q u_k) r_k,
+    where r_k is row last_k of Q^{-1}, that is, the solution of
+    Q^T x = e_last_k.  One fraction-free elimination of
+    [Q^T | e_last_1 ... e_last_b], over the blocks with u_k != 0, gives
+    every r_k; its n pivots prove Q invertible.
+    """
+    n = q.n
+    lasts, terms = [], []
+    end = 0
+    for g in g_blocks:
+        start, end = end, end + g.n
+        u = [row[-1] for row in g._d]
+        u[-1] -= g._den
+        if any(u):
+            # Q u_k as an integer column over den(Q) den(G_k)
+            col = [sum(map(mul, row[start:end], u)) for row in q._d]
+            lasts.append(end - 1)
+            terms.append((col, g._den))
+    aug = [list(row) + [int(i == k) for k in lasts] for i, row in enumerate(zip(*q._d))]
+    if len(_eliminate(aug, n)) < n:
+        raise ArithmeticError("Frobenius transform is singular")  # pragma: no cover
+    # pivot row k reads [p_k e_k | X_k], so r_t[k] = den(Q) X_k[t] / p_k and
+    # (Q u_t) r_t = col_t X[t] / (den(G_t) p_k) entry by entry
+    pden = math.lcm(*(row[k] for k, row in enumerate(aug)))
+    gden = math.lcm(*(den for _, den in terms))
+    den = pden * gden
+    grid = [[den * (i == k) for k in range(n)] for i in range(n)]
+    for t, (col, tden) in enumerate(terms):
+        x = [row[n + t] * (pden // row[k]) for k, row in enumerate(aug)]
+        scale = gden // tden
+        for i, c in enumerate(col):
+            if c:
+                c *= scale
+                grid[i] = [y + c * xk for y, xk in zip(grid[i], x)]
+    return Matrix._grid(grid, den)
+
+
 def involutory_diagonalizable_split(a: Matrix, reserved=()) -> ExactSplit:
     """Exact split of a rational matrix into involutory + diagonalizable.
 
@@ -544,10 +585,10 @@ def involutory_diagonalizable_split(a: Matrix, reserved=()) -> ExactSplit:
         splits[i] = _split_block(f, used)
         used.update(splits[i][3])
     g_blocks, _, r_blocks, values = zip(*(splits[i] for i in sorted(splits)))
-    s_inv = form.S_inv
-    v = s_inv @ direct_sum(*g_blocks) @ form.S
+    q = form.S_inv
+    v = _conjugate_involution(q, g_blocks)
     d = a - v
-    w = s_inv @ direct_sum(*r_blocks)
+    w = q @ direct_sum(*r_blocks)
     if v + d != a:
         raise ArithmeticError("split does not reconstruct the input")  # pragma: no cover
     return ExactSplit(V=v, D=d, W=w, spectrum=tuple(x for vals in values for x in vals))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,10 +131,13 @@ class Polynomial:
 
 
 def _as_fraction(x) -> Fraction:
+    """x as a Fraction of Python integers: any ``numbers.Rational`` (int,
+    Fraction, numpy integers) or a string that Fraction parses.  Floats and
+    complex numbers are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, numbers.Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
     if isinstance(x, str):
         return Fraction(x)
     raise PathwayMismatch(f"exact pathway requires rational entries, got {x!r}")
@@ -253,9 +257,8 @@ class Matrix:
     def diag(cls, values: Sequence, pathway: str = "floating") -> "Matrix":
         n = len(values)
         if pathway == "exact":
-            return cls.exact(
-                [[values[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-            )
+            (diagonal,), den = _integer_grid([[_as_fraction(x) for x in values]])
+            return cls._grid([[x if i == j else 0 for j in range(n)] for i, x in enumerate(diagonal)], den)
         return cls.floating(np.diag(np.asarray(values, dtype=np.complex128)))
 
     # -- access --------------------------------------------------------

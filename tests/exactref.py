@@ -1,12 +1,19 @@
-"""Fraction-arithmetic reference kernels for the exact pathway.
+"""Fraction-arithmetic reference kernels for the exact pathway, and the
+exact helpers only tests use.
 
-These are the elimination loops the package ran in `Fraction` arithmetic
-before its kernels moved to primitive integer rows.  They are kept here,
-independent of the package, so tests can require the production kernels to
-return the same rationals entry for entry.
+`rref`, `apply` and `vector_order` are the elimination loops the package
+ran in `Fraction` arithmetic before its kernels moved to primitive integer
+rows; they are independent of the package.  `involutory_split_companion` is
+the package's companion split as it was before it moved to integers, on the
+package's matrices.  Tests require the production kernels to return the
+same rationals entry for entry.  `exact_nullspace` and `poly_eval_matrix`
+are exact helpers no library code calls.
 """
 
 from fractions import Fraction
+
+from coninv.exactcanon import InvolutorySplit, companion
+from coninv.matcore import Matrix, Polynomial, _eliminate
 
 
 def rref(rows, ncols):
@@ -65,3 +72,77 @@ def vector_order(grid, v):
         reduced.append(([x * inv for x in w], [c * inv for c in expr], piv))
         chain.append(cur)
         cur = apply(grid, cur)
+
+
+def exact_nullspace(m):
+    """Basis of the right nullspace over Q of the exact Matrix m (list of
+    length-n Fraction vectors), from one fraction-free elimination."""
+    n = m.n
+    rows = [list(r) for r in m._d]
+    pivots = _eliminate(rows, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = Fraction(-rows[ri][fc], rows[ri][pc])
+        basis.append(v)
+    return basis
+
+
+def poly_eval_matrix(f, a):
+    """Horner evaluation of the Polynomial f at the square Matrix a."""
+    ident = Matrix.identity(a.n, a.pathway)
+    acc = ident
+    for c in f.a:
+        acc = acc @ a - c * ident
+    return acc
+
+
+def involutory_split_companion(f: Polynomial, lambdas) -> InvolutorySplit:
+    """Split companion(f) = G + D with G involutory and D similar to
+    diag(lambda_i - 1), for pairwise distinct lambdas summing to a1 + 2."""
+    lams = tuple(Fraction(x) for x in lambdas)
+    m = f.m
+    if m < 2:
+        raise ValueError("companion split needs degree >= 2")
+    if len(lams) != m:
+        raise ValueError(f"need {m} lambda values, got {len(lams)}")
+    if len(set(lams)) != m:
+        raise ValueError("lambda values must be pairwise distinct")
+    a = [Fraction(c) for c in f.a]
+    if sum(lams) != a[0] + 2:
+        raise ValueError(f"lambda values must sum to a1 + 2 = {a[0] + 2}")
+
+    target = Polynomial.from_roots(lams)  # x^m - g1 x^(m-1) - ... - gm
+    g = [Fraction(c) for c in target.a]
+    # companion(f) - G + I must be the companion-type matrix of `target`:
+    # its last column is (c_m, ..., c_2, a1+2) with c_j = g_j, so b_j = a_j - g_j.
+    b = [a[j] - g[j] for j in range(1, m)]  # b_2, ..., b_m
+
+    grid = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    grid[m - 1][m - 1] = Fraction(-1)
+    for i in range(m - 1):
+        grid[i][m - 1] = b[m - 2 - i]  # row 0 -> b_m, row m-2 -> b_2
+    gmat = Matrix.exact(grid)
+    fmat = companion(f)
+    d = fmat - gmat
+
+    ident = Matrix.identity(m, "exact")
+    if gmat @ gmat != ident:
+        raise ArithmeticError("constructed G is not involutory")  # pragma: no cover
+
+    # eigenvectors of D + I by companion back-substitution, v[m-1] = 1
+    last_col = [g[m - 1 - i] for i in range(m)]  # row 0 -> g_m, row m-1 -> g_1
+    cols = []
+    for lam in lams:
+        v = [Fraction(0)] * m
+        v[m - 1] = Fraction(1)
+        for i in range(m - 1, 0, -1):
+            v[i - 1] = lam * v[i] - last_col[i]
+        cols.append(v)
+    r = Matrix.exact([[cols[j][i] for j in range(m)] for i in range(m)])
+    dpi = d + ident
+    if (dpi @ r) != (r @ Matrix.diag(lams, "exact")):
+        raise ArithmeticError("eigenvector residual is nonzero")  # pragma: no cover
+    return InvolutorySplit(G=gmat, D=d, lambdas=lams, R=r)

@@ -30,8 +30,9 @@ from coninv import (
     matrix_to_json,
     minimal_polynomial,
 )
-from coninv.exactcanon import _exact_nullspace
 from coninv.matcore import SingularMatrix
+
+import exactref
 
 DIGEST = Path(__file__).parent / "data" / "exact_digest.json"
 
@@ -56,7 +57,7 @@ def exact_outputs(a):
             "S": _strs(form.S.rows()),
             "S_inv": _strs(form.S_inv.rows()),
         },
-        "nullspace": _strs(_exact_nullspace(a)),
+        "nullspace": _strs(exactref.exact_nullspace(a)),
         "thm1a": {
             "V": _strs(split.V.rows()),
             "D": _strs(split.D.rows()),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from coninv import (
@@ -32,7 +32,6 @@ from coninv.exactcanon import (
     _pdivmod,
     _pmul,
     _vector_order,
-    poly_eval_matrix,
 )
 from coninv.matcore import _integer_grid
 
@@ -59,6 +58,17 @@ class TestCompanion:
         c = companion(f)
         assert c == Matrix.exact([[0, -6], [1, 5]])
         assert c.char_poly() == f
+
+    @example([F(0)])
+    @given(st.lists(st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 12, 2**41])), min_size=1, max_size=7))
+    def test_matches_the_fraction_construction(self, coeffs):
+        m = len(coeffs)
+        grid = [[F(int(j == i - 1)) for j in range(m)] for i in range(m)]
+        for i in range(m):
+            grid[i][m - 1] = coeffs[m - 1 - i]
+        c = companion(Polynomial(tuple(coeffs)))
+        old = Matrix.exact(grid)
+        assert (c._d, c._den) == (old._d, old._den)
 
     def test_pure_power_shape(self):
         c = companion(Polynomial((F(0), F(0), F(0))))
@@ -169,11 +179,11 @@ def sympy_prime_factors(f):
 class TestMinimalPolynomial:
     def check_minimal(self, a, mp):
         n = a.n
-        assert poly_eval_matrix(mp, a) == Matrix.zeros(n, "exact")
+        assert exactref.poly_eval_matrix(mp, a) == Matrix.zeros(n, "exact")
         for prime in sympy_prime_factors(mp):
             cofactor = _pdivmod(_coeffs(mp), prime)[0]
             if len(cofactor) > 1:  # a constant cofactor 1 evaluates to I
-                assert not poly_eval_matrix(Polynomial.from_monic_coeffs(cofactor), a).is_zero()
+                assert not exactref.poly_eval_matrix(Polynomial.from_monic_coeffs(cofactor), a).is_zero()
         assert _divides(mp, a.char_poly())
 
     @pytest.mark.parametrize("name", sorted(MINPOLY_CASES))
@@ -454,6 +464,142 @@ class TestInvolutorySplit:
             assert sp.G @ sp.G == ident
             assert sp.G + sp.D == companion(f)
             assert sp.R.inverse() @ sp.D @ sp.R == Matrix.diag([x - 1 for x in lams], "exact")
+
+
+@st.composite
+def companion_split_cases(draw):
+    """(f, lambdas) for `involutory_split_companion`: f of degree 2..6 over
+    one denominator, and pairwise distinct fractional lambdas summing to
+    a1 + 2, whose denominators (2^41 among them) need not be f's."""
+    m = draw(st.integers(2, 6))
+    fden = draw(st.sampled_from([1, 3, 2**41]))
+    a = [F(draw(st.integers(-9, 9)), fden) for _ in range(m)]
+    lam = st.builds(F, st.integers(-20, 20), st.sampled_from([1, 2, 5, 6, 2**41]))
+    lams = draw(st.lists(lam, min_size=m - 1, max_size=m - 1, unique=True))
+    lams.append(a[0] + 2 - sum(lams))
+    return Polynomial(tuple(a)), lams
+
+
+class TestIntegerCompanionSplit:
+    """The integer companion split returns the G, D and R of the `Fraction`
+    split it replaced (tests/exactref.py), entry for entry."""
+
+    @example((Polynomial((F(0), F(0))), [F(3), F(-1)]))
+    @example((Polynomial((F(5, 3), F(-6))), [F(1, 2**41), F(11, 3) - F(1, 2**41)]))
+    @example((Polynomial((F(1, 2**41), F(3), F(-7, 2**41))), [F(1, 3), F(-2, 5), F(2) + F(1, 2**41) + F(1, 15)]))
+    @given(companion_split_cases())
+    def test_matches_fraction_reference(self, case):
+        f, lams = case
+        if len(set(lams)) < len(lams):
+            with pytest.raises(ValueError):
+                involutory_split_companion(f, lams)
+            return
+        sp = involutory_split_companion(f, lams)
+        ref = exactref.involutory_split_companion(f, lams)
+        for new, old in ((sp.G, ref.G), (sp.D, ref.D), (sp.R, ref.R)):
+            assert (new._d, new._den) == (old._d, old._den)
+        assert sp.lambdas == ref.lambdas
+
+
+def counted_exact_inverses(monkeypatch) -> list[int]:
+    """The sizes of the exact matrices `Matrix.inverse` is called on from
+    now on."""
+    calls = []
+    inverse = Matrix.inverse
+
+    def counting(self):
+        if self.pathway == "exact":
+            calls.append(self.n)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting)
+    return calls
+
+
+@st.composite
+def repeated_eigenvalue_sums(draw):
+    """J_m(lam) for two to four sizes m in 1..3 of one lam in -2..2, and
+    perhaps one more block of another value, at n <= 8, hidden by an
+    integer unimodular similarity: the Frobenius form has several blocks,
+    often 1-by-1 ones."""
+    lam = draw(st.integers(-2, 2))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(lambda s: sum(s) <= 6))
+    parts = [jordan(m, F(lam)) for m in sizes]
+    other = draw(st.none() | st.tuples(st.integers(1, 2), st.integers(-2, 2)))
+    if other is not None:
+        parts.append(jordan(other[0], F(other[1])))
+    a = direct_sum(*parts)
+    t = draw(unimodulars(a.n))
+    return t.inverse() @ a @ t
+
+
+class TestThm1aWithoutInverse:
+    """thm1a conjugates its involutory blocks with rank-one corrections and
+    never inverts the Frobenius transform; the form's S is computed only
+    when read."""
+
+    @pytest.mark.parametrize("name", ["cyclic-8", "hidden-j3(1)+j2(1)+j1(1)"])
+    def test_no_exact_inverse(self, name, monkeypatch):
+        if name == "cyclic-8":
+            a = rational_matrix(np.random.default_rng(8), 8)
+        else:
+            a = lower_bidiagonal_hidden((3, 2, 1), 1)
+        assert len(_components(a)) == 1
+        blocks = frobenius_form(a).blocks
+        assert len(blocks) == (1 if name == "cyclic-8" else 3)
+        calls = counted_exact_inverses(monkeypatch)
+        sp = involutory_diagonalizable_split(a)
+        assert calls == []
+        monkeypatch.undo()
+        assert sp.V @ sp.V == Matrix.identity(a.n, "exact")
+        assert sp.V + sp.D == a
+        assert sp.W.inverse() @ sp.D @ sp.W == Matrix.diag(sp.spectrum, "exact")
+
+    @pytest.mark.parametrize("name", ["rational-6", "hidden-j2(0)+j2(0)+j1(0)"])
+    def test_S_is_lazy_and_computed_once(self, name, monkeypatch):
+        if name == "rational-6":
+            a = rational_matrix(np.random.default_rng(6), 6)
+        else:
+            a = lower_bidiagonal_hidden((2, 2, 1), 0)
+        calls = counted_exact_inverses(monkeypatch)
+        form = frobenius_form(a)
+        assert calls == []
+        s = form.S
+        assert calls == [a.n]
+        assert form.S is s
+        assert calls == [a.n]
+        monkeypatch.undo()
+        assert s == form.S_inv.inverse()
+        assert s @ a == form.companion_sum() @ s
+
+    @example(lower_bidiagonal_hidden((3, 2, 1), 1), True)
+    @example(lower_bidiagonal_hidden((2, 1, 1), -1), True)
+    @example(lower_bidiagonal_hidden((3, 3, 1), 0), False)
+    @given(repeated_eigenvalue_sums(), st.booleans())
+    def test_v_is_the_conjugated_direct_sum(self, a, flip):
+        # V = S_inv (direct sum of the blocks' G_k) S, the conjugation thm1a
+        # made before; `reserved` = {c - 1} makes a 1-by-1 block [c] take G = [-1]
+        assume(len(_components(a)) == 1)
+        form = frobenius_form(a)
+        scalars = [f.a[0] for f in form.blocks if f.m == 1]
+        reserved = (scalars[0] - 1,) if flip and scalars else ()
+        taken = []
+        split_block = exactcanon._split_block
+
+        def recording(f, used):
+            out = split_block(f, used)
+            taken.append(out[0])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactcanon, "_split_block", recording)
+            sp = involutory_diagonalizable_split(a, reserved=reserved)
+        # thm1a splits the 1-by-1 blocks first, each group in block order
+        order = sorted(range(len(form.blocks)), key=lambda i: form.blocks[i].m > 1)
+        g = dict(zip(order, taken))
+        assert sp.V == form.S_inv @ direct_sum(*(g[i] for i in range(len(form.blocks)))) @ form.S
+        if reserved:
+            assert Matrix.exact([[-1]]) in taken
 
 
 class TestExactSplit:

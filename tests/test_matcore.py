@@ -271,6 +271,47 @@ class TestExactGridProperties:
         assert Matrix.exact([["2/4", "6/4"], [1, "-10/20"]])._d == ((1, 3), (2, -1))
 
 
+class TestExactConstructors:
+    """`Matrix.exact` and `Matrix.diag` take any `numbers.Rational`, numpy
+    integers included, and store Python integers; floats and complex
+    numbers are refused."""
+
+    def test_numpy_integer_array(self):
+        m = Matrix.exact(np.array([[1, 2], [3, 4]]))
+        assert_canonical(m)
+        assert m == Matrix.exact([[1, 2], [3, 4]])
+
+    def test_numpy_integer_entries(self):
+        m = Matrix.exact([[np.int64(1), 2], [np.uint8(3), np.int16(4)]])
+        assert_canonical(m)
+        assert m == Matrix.exact([[1, 2], [3, 4]])
+        assert m * np.int64(3) == Matrix.exact([[3, 6], [9, 12]])
+
+    def test_numpy_integers_do_not_wrap(self):
+        m = Matrix.exact(np.array([[2**62, 1], [0, 1]]))
+        assert (m @ m)[0, 0] == 2**124
+        assert Matrix.diag(np.array([2**62, 3]), "exact").trace() == 2**62 + 3
+
+    @pytest.mark.parametrize("bad", [1.0, np.float64(1.0), 0.5j, np.complex128(1), np.float32(2)], ids=repr)
+    def test_floats_and_complex_refused(self, bad):
+        with pytest.raises(PathwayMismatch, match="requires rational entries"):
+            Matrix.exact([[bad, 0], [0, 1]])
+        with pytest.raises(PathwayMismatch, match="requires rational entries"):
+            Matrix.diag([1, bad], "exact")
+
+    def test_float_array_refused(self):
+        with pytest.raises(PathwayMismatch, match="requires rational entries"):
+            Matrix.exact(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    @given(st.lists(exact_entries(), max_size=6))
+    def test_diag_matches_the_fraction_construction(self, values):
+        n = len(values)
+        old = Matrix.exact([[values[i] if i == j else F(0) for j in range(n)] for i in range(n)])
+        new = Matrix.diag(values, "exact")
+        assert_canonical(new)
+        assert (new.n, new._d, new._den) == (old.n, old._d, old._den)
+
+
 class TestConj:
     def test_imag_flip(self):
         assert Matrix.floating([[1j]]).conj() == Matrix.floating([[-1j]])
