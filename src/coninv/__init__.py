@@ -30,8 +30,6 @@ from .concanon import (
     solve_consimilarity,
 )
 from .conisum import (
-    classify_real_2x2,
-    coninv_sum_2x2,
     coninvolutory_condiagonalizable_split,
     coninvolutory_plus_real_diagonal,
     coninvolutory_sum,
@@ -70,7 +68,6 @@ from .skewsum import (
     pair_discriminant,
     skew_block,
     skew_coninvolutory_sum,
-    skew_sum_diag_pair,
     skew_sum_jordan,
 )
 

@@ -28,6 +28,7 @@ from .matcore import (
     PathwayMismatch,
     Tolerance,
     UnsupportedSize,
+    direct_sum,
     matrix_from_json,
     matrix_to_json,
 )
@@ -157,16 +158,12 @@ def _generate(spec: dict, rng: np.random.Generator) -> Matrix:
         return Matrix.floating(arr)
     if kind == "jordan":
         blocks = spec["blocks"]  # [[n, lambda], ...]
-        from .matcore import direct_sum
-
         return direct_sum(*[concanon.jordan_block(int(n), float(lam)) for n, lam in blocks])
     if kind == "hblock":
         return concanon.build_block(
             concanon.ConCanonicalBlock("H", int(spec["m"]), complex(spec["mu"][0], spec["mu"][1]))
         )
     if kind == "dsum":
-        from .matcore import direct_sum
-
         return direct_sum(*[_generate(part, rng) for part in spec["parts"]])
     raise MatrixError(f"unknown generator kind {kind!r}")
 

@@ -6,8 +6,10 @@ B (``consimilar_to_real``), a direct sum of 1-by-1 blocks, real pairs
 matrices push through consimilarity, so the real cases carry the
 construction:
 
-* 2-by-2: classify to diagonal / Jordan / rotation form and use the
-  displayed two-summand pairs (4 summands total);
+* 2-by-2: B is read as it stands.  diag(x, y) takes the diagonal 4-sum;
+  otherwise B = a I + [[0, x], [y, 0]] (J_2(a), or a real pair with
+  y = -x) and takes the identity pair at c = a/2 plus the off-diagonal
+  pair (4 summands);
 * even size: split B block by block as C + W diag(values) W^{-1} with C
   real involutory and W real (``_real_split``), then run the 2-by-2
   diagonal pairs in parallel across diag(values) (1 + 4 summands);
@@ -16,14 +18,19 @@ construction:
   1-by-1 consimilarity when every scalar is equal) given the value mu_1 in
   {0, 2}, which unit-modulus scalar borders then peel off (1 + 4 summands).
 
-All of it is floating arithmetic in closed form per block.  The certificate
-is checked against the original input before the summands are returned.
+The skew sum (``skewsum``) ends the same way, and the shared steps live
+here.  A real diagonal remainder is four displayed 2-by-2 summands with
+conj(K) K = s I, s = +1 here and -1 for the skew sum (``displayed_pairs``,
+``_diagonal_summands``).  The summands of the real frame are one (k, n, n)
+stack, conjugated back in one product (``consim_conjugate_list``), and
+``_finish`` checks the certificate against the original input, pads to
+``pad_to`` (``_pad``) and wraps each summand as a ``Matrix``.  All of it
+is floating arithmetic in closed form per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, count
 
 import numpy as np
@@ -37,171 +44,66 @@ from .matcore import (
     Matrix,
     Tolerance,
     UnsupportedSize,
-    direct_sum,
 )
 
 # ---------------------------------------------------------------------------
-# displayed two-summand pairs; entries as (re, im) in the arithmetic of c,
-# so Fraction input gives exact Gaussian-rational matrices
+# the displayed summands, for conj(K) K = s I with s = +1 or -1
 # ---------------------------------------------------------------------------
 
 
-def scaled_identity_pair(c):
-    """diag(2c, 2c) as a sum of two coninvolutory matrices (the +-i pair)."""
-    one = c * 0 + 1
-    w = one - c * c
-    k1 = [[(c, c * 0), (c * 0, one)], [(c * 0, w), (c, c * 0)]]
-    k2 = [[(c, c * 0), (c * 0, -one)], [(c * 0, -w), (c, c * 0)]]
-    return k1, k2
+def displayed_pairs(t, c, s: int):
+    """(re, im) grids of four 2-by-2 summands K with conj(K) K = s I: the
+    traceless pair [[t, +-s], [+-(1 - s t^2), -t]], which sums to
+    diag(2t, -2t), and the identity pair [[c, +-i s], [+-i (1 - s c^2), c]],
+    which sums to diag(2c, 2c).  The entries are plain arithmetic on t and
+    c, so Fraction scalars give exact Gaussian-rational grids and float
+    arrays give every pair at once."""
+    # zeros (and s + zeros) in the type and shape of t and c
+    zt, zc = 0 * t, 0 * c
+    u, v = 1 - s * t * t, 1 - s * c * c
+    re = [[[t, s + zt], [u, -t]], [[t, -s + zt], [-u, -t]], [[c, zc], [zc, c]], [[c, zc], [zc, c]]]
+    im = [[[zt, zt], [zt, zt]], [[zt, zt], [zt, zt]], [[zc, s + zc], [v, zc]], [[zc, -s + zc], [-v, zc]]]
+    return re, im
 
 
-def traceless_pair(c):
-    """diag(2c, -2c) as a sum of two real involutory matrices."""
-    one = c * 0 + 1
-    w = one - c * c
-    zero = c * 0
-    k1 = [[(c, zero), (one, zero)], [(w, zero), (-c, zero)]]
-    k2 = [[(c, zero), (-one, zero)], [(-w, zero), (-c, zero)]]
-    return k1, k2
+def offdiagonal_pair(x, y):
+    """[[0, x], [y, 0]] as [[1, x], [0, -1]] + [[-1, 0], [y, 1]], two real
+    involutory matrices: the nilpotent pair at (1, 0) and the rotation pair
+    at (b, -b)."""
+    return [[[1, x], [0, -1]], [[-1, 0], [y, 1]]]
 
 
-def nilpotent_pair(one=Fraction(1)):
-    """[[0,1],[0,0]] as [[1,1],[0,-1]] + [[-1,0],[0,1]]."""
-    zero = one * 0
-    k1 = [[(one, zero), (one, zero)], [(zero, zero), (-one, zero)]]
-    k2 = [[(-one, zero), (zero, zero)], [(zero, zero), (one, zero)]]
-    return k1, k2
-
-
-def rotation_pair(b):
-    """[[0,b],[-b,0]] as [[1,b],[0,-1]] + [[-1,0],[-b,1]]."""
-    one = b * 0 + 1
-    zero = b * 0
-    k1 = [[(one, zero), (b, zero)], [(zero, zero), (-one, zero)]]
-    k2 = [[(-one, zero), (zero, zero)], [(-b, zero), (one, zero)]]
-    return k1, k2
-
-
-def gauss_to_matrix(rows) -> Matrix:
-    """(re, im) grids -> floating Matrix."""
-    return Matrix.floating(
-        [[complex(float(re), float(im)) for (re, im) in row] for row in rows]
-    )
-
-
-def diagonal_pair_summands(values, traceless, identity) -> list[Matrix]:
-    """Four global summands for diag(values), len(values) even.
-
-    Consecutive pairs (a, b) run the pair function `traceless` (diag(2c,
-    -2c)) at c = (a-b)/4 and `identity` (diag(2c, 2c)) at c = (a+b)/4,
-    direct-summed position by position, so each of the four full-size
-    summands keeps the predicate the pair functions share.
-    """
-    if len(values) % 2:
+def _diagonal_summands(values, s: int) -> np.ndarray:
+    """The four summands of ``displayed_pairs`` for diag(values), as a
+    (4, n, n) stack: consecutive values (a, b) take the traceless pair at
+    t = (a - b)/4 and the identity pair at c = (a + b)/4 on their own
+    2-by-2 diagonal block.  len(values) must be even."""
+    vals = np.asarray(values, dtype=float)
+    if len(vals) % 2:
         raise ValueError("even value count required")
-    per_slot: list[list[Matrix]] = [[], [], [], []]
-    for a, b in zip(values[::2], values[1::2]):
-        t1, t2 = traceless((a - b) / 4)
-        s1, s2 = identity((a + b) / 4)
-        for slot, grid in zip(per_slot, (t1, t2, s1, s2)):
-            slot.append(gauss_to_matrix(grid))
-    return [direct_sum(*slot) for slot in per_slot]
+    a, b = vals[0::2], vals[1::2]
+    k = len(a)
+    blocks = np.empty((4, 2, 2, k), dtype=complex)
+    blocks.real, blocks.imag = displayed_pairs((a - b) / 4, (a + b) / 4, s)
+    out = np.zeros((4, k, 2, k, 2), dtype=complex)
+    j = np.arange(k)
+    out[:, j, :, j, :] = blocks.transpose(3, 0, 1, 2)
+    return out.reshape(4, 2 * k, 2 * k)
 
 
-def diagonal_case_summands(values) -> list[Matrix]:
-    """Four global coninvolutory summands for diag(values), len(values) even."""
-    return diagonal_pair_summands(values, traceless_pair, scaled_identity_pair)
-
-
-def split_unimodular(k: Matrix) -> tuple[Matrix, Matrix]:
-    """K = uK + conj(u)K with u = e^{i pi/3}; unimodular scalar multiples
-    keep both the coninvolutory and the skew-coninvolutory predicate."""
-    u = complex(np.exp(1j * np.pi / 3))
-    return u * k, np.conj(u) * k
-
-
-# ---------------------------------------------------------------------------
-# 2-by-2 classification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Real2x2Class:
-    """kind "diag"/"jordan"/"rotation" with params (a, b) / (a,) / (a, b>0);
-    transform T is real with A = T R T^{-1} for the representative R."""
-
-    kind: str
-    params: tuple
-    transform: Matrix
-
-
-def classify_real_2x2(a: Matrix) -> Real2x2Class:
-    arr = a.to_array().real
-    if a.n != 2:
-        raise ValueError("2-by-2 input required")
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    tr = arr[0, 0] + arr[1, 1]
-    det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
-    disc = tr * tr - 4 * det
-    edge = 1e-10 * scale * scale
-
-    def eigvec(lam):
-        if abs(arr[0, 1]) >= abs(arr[1, 0]):
-            v = np.array([arr[0, 1], lam - arr[0, 0]])
-        else:
-            v = np.array([lam - arr[1, 1], arr[1, 0]])
-        return v / np.linalg.norm(v)
-
-    if disc > edge:
-        lam1 = (tr + np.sqrt(disc)) / 2
-        lam2 = (tr - np.sqrt(disc)) / 2
-        if abs(arr[0, 1]) + abs(arr[1, 0]) <= 1e-14 * scale:
-            return Real2x2Class("diag", (arr[0, 0], arr[1, 1]), Matrix.identity(2))
-        t = np.column_stack([eigvec(lam1), eigvec(lam2)])
-        return Real2x2Class("diag", (lam1, lam2), Matrix.floating(t))
-    if disc < -edge:
-        alpha, beta = tr / 2, np.sqrt(-disc) / 2
-        lam = complex(alpha, beta)
-        if abs(arr[0, 1]) >= abs(arr[1, 0]):
-            v = np.array([arr[0, 1], lam - arr[0, 0]], dtype=complex)
-        else:
-            v = np.array([lam - arr[1, 1], arr[1, 0]], dtype=complex)
-        t = np.column_stack([v.real, v.imag])
-        t = t / np.sqrt(abs(np.linalg.det(t)))
-        return Real2x2Class("rotation", (alpha, beta), Matrix.floating(t))
-    lam = tr / 2
-    off = arr - lam * np.eye(2)
-    if np.max(np.abs(off)) <= 1e-9 * scale:
-        return Real2x2Class("diag", (lam, lam), Matrix.identity(2))
-    w = np.array([1.0, 0.0])
-    v = off @ w
-    if np.linalg.norm(v) <= 1e-12 * scale:
-        w = np.array([0.0, 1.0])
-        v = off @ w
-    t = np.column_stack([v, w])
-    return Real2x2Class("jordan", (lam,), Matrix.floating(t))
-
-
-def coninv_sum_2x2(a: Matrix, *, log: list | None = None) -> Decomposition:
-    """Exactly four coninvolutory summands for a real 2-by-2 matrix."""
-    cls = classify_real_2x2(a)
-    entries: list[Matrix] = []
-    if cls.kind == "diag":
-        entries = diagonal_case_summands([float(p) for p in cls.params])
-    elif cls.kind == "jordan":
-        (x,) = cls.params
-        s1, s2 = scaled_identity_pair(float(x) / 2)
-        n1, n2 = nilpotent_pair(1.0)
-        entries = [gauss_to_matrix(g) for g in (s1, s2, n1, n2)]
-    else:
-        x, y = cls.params
-        s1, s2 = scaled_identity_pair(float(x) / 2)
-        r1, r2 = rotation_pair(float(y))
-        entries = [gauss_to_matrix(g) for g in (s1, s2, r1, r2)]
-    summands = consim_conjugate_list(cls.transform, entries)
-    rec = list(log or [])
-    rec.append({"step": "real-2x2", "class": cls.kind, "params": [float(p) for p in cls.params]})
-    return Decomposition(kind=KIND_CONINV_SUM, summands=summands, log=rec)
+def _real_2x2_summands(b: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Four coninvolutory summands for a real 2-by-2 B in the form of
+    ``consimilar_to_real``, and the route's log entry.  diag(x, y) takes
+    the diagonal 4-sum; B = a I + [[0, x], [y, 0]] (J_2(a): y = 0, a real
+    pair: y = -x) the identity pair at c = a/2 and the off-diagonal pair."""
+    a, x, y = (float(v) for v in (b[0, 0], b[0, 1], b[1, 0]))
+    if x == y == 0:
+        d = float(b[1, 1])
+        return _diagonal_summands([a, d], 1), {"step": "real-2x2", "class": "diag", "params": [a, d]}
+    stack = np.concatenate([_diagonal_summands([a, a], 1)[2:], offdiagonal_pair(x, y)])
+    if y == 0:
+        return stack, {"step": "real-2x2", "class": "jordan", "params": [a]}
+    return stack, {"step": "real-2x2", "class": "rotation", "params": [a, x]}
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +334,7 @@ def _fix_mu1(x: np.ndarray) -> tuple[np.ndarray, list[float]]:
     return np.array(c_x), [mu1, nu]
 
 
-def _odd_real_summands(b: Matrix, *, log: list) -> tuple[list[Matrix], np.ndarray, dict]:
+def _odd_real_summands(bb: np.ndarray, *, log: list) -> tuple[np.ndarray, np.ndarray, dict]:
     """Five coninvolutory summands for an odd-size real B in the block form
     of ``consimilar_to_real``, the transform U with B = conj(U) M U^{-1}
     relating the summand frame M back to B, and the route's log entry.
@@ -444,10 +346,9 @@ def _odd_real_summands(b: Matrix, *, log: list) -> tuple[list[Matrix], np.ndarra
     involutory C_X of ``_fix_mu1``, and the other blocks split as in
     ``_real_split``.  With mu1's eigenvector first, diag(values) is
     [mu1] + diag(rest), written as four summands bordered by the unit
-    scalars [1, mu1 - 1, 1, -1] around ``diagonal_case_summands(rest)``,
-    and C conjugated by W is the fifth.
+    scalars [1, mu1 - 1, 1, -1] around the diagonal 4-sum of rest, and C
+    conjugated by W is the fifth.
     """
-    bb = b.to_array().real
     n = bb.shape[0]
     units = [list(range(start, stop)) for start, stop in _diagonal_blocks(bb)]
     phi = np.ones(n, dtype=complex)
@@ -470,16 +371,16 @@ def _odd_real_summands(b: Matrix, *, log: list) -> tuple[list[Matrix], np.ndarra
     c_x, vals = _fix_mu1(bb[np.ix_(idx[:2], idx[:2])])
     sp = _real_split(bb, units, (k, c_x, vals))
     first = idx[0]
-    order = [first] + [i for i in range(bb.shape[0]) if i != first]
+    order = [first] + [i for i in range(n) if i != first]
     w, w_inv, values = sp.W[:, order], sp.W_inv[order], sp.values[order]
     mu1 = vals[0]
     borders = [1, int(mu1) - 1, 1, -1]
-    bordered = [
-        direct_sum(Matrix.floating([[complex(s)]]), k_rest)
-        for s, k_rest in zip(borders, diagonal_case_summands(values[1:].tolist()))
-    ]
+    inner = np.zeros((5, n, n), dtype=complex)
+    inner[0] = w_inv @ sp.C @ w
+    inner[1:, 0, 0] = borders
+    inner[1:, 1:, 1:] = _diagonal_summands(values[1:], 1)
     entry = {"step": "odd-borders", "mu1": str(int(mu1)), "borders": [str(v) for v in borders], "cond_W": sp.cond_W}
-    return [Matrix.floating(w_inv @ sp.C @ w)] + bordered, phi[:, None] * w, entry
+    return inner, phi[:, None] * w, entry
 
 
 def coninvolutory_sum(
@@ -498,56 +399,84 @@ def coninvolutory_sum(
     log: list = []
 
     if a.is_zero():
-        summands = [Matrix.identity(a.n), -Matrix.identity(a.n)]
         log.append({"step": "zero-input", "count": 2})
-        return _finish(a, summands, log, tol, pad_to)
+        zero = _pad(np.empty((0, a.n, a.n)), 2, _unit(KIND_CONINV_SUM, a.n))
+        return _finish(KIND_CONINV_SUM, a, zero, log, tol, pad_to)
 
     s0, b = consimilar_to_real(a, seed=seed, tol=tol)
     log.append({"step": "consimilar-to-real", "n": a.n, "cond_S": float(np.linalg.cond(s0.to_array()))})
+    bb = b.to_array().real
 
     if a.n == 2:
-        inner = coninv_sum_2x2(b, log=log)
-        summands = consim_conjugate_list(s0, inner.summands)
-        return _finish(a, summands, inner.log, tol, pad_to)
-
-    if a.n % 2 == 0:
-        sp = _real_split(b.to_array().real)
-        inner = [Matrix.floating(sp.W_inv @ sp.C @ sp.W)] + diagonal_case_summands(sp.values.tolist())
-        u = sp.W
+        inner, entry = _real_2x2_summands(bb)
+        u = s0
+    elif a.n % 2 == 0:
+        sp = _real_split(bb)
+        inner = np.concatenate([(sp.W_inv @ sp.C @ sp.W)[None], _diagonal_summands(sp.values, 1)])
+        u = s0 @ Matrix.floating(sp.W)
         entry = {"step": "even-split", "diagonal": sp.values.tolist(), "cond_W": sp.cond_W}
     else:
-        inner, u, entry = _odd_real_summands(b, log=log)
-    summands = consim_conjugate_list(s0 @ Matrix.floating(u), inner)
-    entry["amplification"] = max(k.frobenius_norm() for k in summands) / a.frobenius_norm()
+        inner, w, entry = _odd_real_summands(bb, log=log)
+        u = s0 @ Matrix.floating(w)
     log.append(entry)
-    return _finish(a, summands, log, tol, pad_to)
+    return _finish(KIND_CONINV_SUM, a, consim_conjugate_list(u, inner), log, tol, pad_to)
 
 
-def consim_conjugate_list(u: Matrix, ks: list[Matrix]) -> list[Matrix]:
-    """K -> conj(U) K U^{-1}; preserves both summand predicates."""
-    u_bar = Matrix.floating(np.conj(u.to_array()))
-    u_inv = u.inverse()
-    return [u_bar @ k @ u_inv for k in ks]
+# ---------------------------------------------------------------------------
+# the shared end of both sums
+# ---------------------------------------------------------------------------
+
+
+def consim_conjugate_list(u: Matrix, ks: np.ndarray) -> np.ndarray:
+    """K -> conj(U) K U^{-1} over a (k, n, n) stack in one product;
+    preserves both summand predicates."""
+    return np.conj(u.to_array()) @ ks @ u.inverse().to_array()
+
+
+def _unit(kind: str, n: int) -> np.ndarray:
+    """The padding unit of a summand kind: I, or the direct sum of 2-by-2
+    skew units [[0, 1], [-1, 0]]."""
+    if kind == KIND_CONINV_SUM:
+        return np.eye(n, dtype=complex)
+    unit = np.zeros((n, n), dtype=complex)
+    i = np.arange(0, n, 2)
+    unit[i, i + 1], unit[i + 1, i] = 1.0, -1.0
+    return unit
+
+
+def _pad(stack: np.ndarray, target: int, unit: np.ndarray) -> np.ndarray:
+    """Stretch a summand stack to `target` entries, keeping its sum: one
+    split K = uK + conj(u)K of the last summand (u = e^{i pi/3}, so
+    u + conj(u) = 1) fixes the parity, and pairs (unit, -unit) do the rest.
+    Unimodular multiples keep either summand predicate."""
+    out = list(stack)
+    if (target - len(out)) % 2:
+        u = complex(np.exp(1j * np.pi / 3))
+        last = out.pop()
+        out += [u * last, np.conj(u) * last]
+    out += [unit, -unit] * ((target - len(out)) // 2)
+    return np.array(out, dtype=complex)
 
 
 def _finish(
+    kind: str,
     a: Matrix,
-    summands: list[Matrix],
+    stack: np.ndarray,
     log: list,
     tol: Tolerance,
     pad_to: int | None,
 ) -> Decomposition:
-    require_certificate(a, Decomposition(kind=KIND_CONINV_SUM, summands=summands), tol, "coninvolutory sum")
+    """Certify the summands of either sum against A, record max ||K_i||_F /
+    ||A||_F, pad to `pad_to` and wrap each summand as a Matrix."""
+    summands = [Matrix.floating(k) for k in stack]
+    what = "coninvolutory sum" if kind == KIND_CONINV_SUM else "skew sum"
+    require_certificate(a, Decomposition(kind, summands), tol, what)
+    entry: dict = {"step": "summands"}
+    if not a.is_zero():
+        entry["amplification"] = max(k.frobenius_norm() for k in summands) / a.frobenius_norm()
     if pad_to is not None and pad_to > len(summands):
-        if a.is_zero() and pad_to == 5 and len(summands) == 2:
-            omega = complex(np.exp(2j * np.pi / 3))
-            eye = Matrix.identity(a.n)
-            summands = [eye, omega * eye, omega**2 * eye, eye, -eye]
-            log.append({"step": "zero-pad-unimodular", "count": 5})
-        else:
-            while len(summands) < pad_to:
-                k1, k2 = split_unimodular(summands[-1])
-                summands = summands[:-1] + [k1, k2]
-            log.append({"step": "pad-split", "count": len(summands)})
-    log.append({"step": "summands", "count": len(summands)})
-    return Decomposition(kind=KIND_CONINV_SUM, summands=summands, log=log)
+        summands = [Matrix.floating(k) for k in _pad(stack, pad_to, _unit(kind, a.n))]
+        log.append({"step": "pad", "count": len(summands)})
+    entry["count"] = len(summands)
+    log.append(entry)
+    return Decomposition(kind=kind, summands=summands, log=log)

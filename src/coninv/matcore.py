@@ -457,21 +457,10 @@ class Matrix:
         Exact on the exact pathway (the recurrence only divides by
         integers), floating otherwise.
         """
-        n = self.n
-        if self.pathway == "exact":
-            ident = Matrix.identity(n, "exact")
-            b = ident
-            coeffs = [Fraction(1)]
-            for k in range(1, n + 1):
-                ab = self @ b
-                c = -ab.trace() / k
-                coeffs.append(c)
-                b = ab + c * ident
-            return Polynomial.from_monic_coeffs(coeffs)
-        ident = Matrix.identity(n, "floating")
+        ident = Matrix.identity(self.n, self.pathway)
         b = ident
-        coeffs = [1.0 + 0j]
-        for k in range(1, n + 1):
+        coeffs = [Fraction(1) if self.pathway == "exact" else 1.0 + 0j]
+        for k in range(1, self.n + 1):
             ab = self @ b
             c = -ab.trace() / k
             coeffs.append(c)

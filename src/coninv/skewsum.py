@@ -28,6 +28,10 @@ first block and the first of the second, lambda I_4 + E_01 + E_12, take
 the closed-form C_4 of ``straddle_block``, which leaves lambda +- u and
 lambda +- v.  The route draws no random numbers, returns at most 5
 summands on every input, and checks its certificate before it returns.
+
+The displayed diagonal pairs are those of the coninvolutory sum at s = -1
+(``conisum.displayed_pairs``: conj(K) K = s I), and the two sums share the
+stacked conjugation, the padding and the certified finish of ``conisum``.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import KIND_SKEW_SUM, Decomposition, require_certificate
-from .concanon import _diagonal_blocks, consimilar_to_real, skew_base
-from .conisum import consim_conjugate_list, diagonal_pair_summands, split_unimodular
+from .certify import KIND_SKEW_SUM, Decomposition
+from .concanon import _diagonal_blocks, consimilar_to_real
+from .conisum import _diagonal_summands, _finish, _pad, _unit, consim_conjugate_list
 from .matcore import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -47,7 +51,6 @@ from .matcore import (
     Matrix,
     Tolerance,
     UnsupportedSize,
-    direct_sum,
 )
 
 #: parameter caps and separation targets for the pair tuning
@@ -65,28 +68,8 @@ class ParameterCapExceeded(ConvergenceFailure):
 
 
 # ---------------------------------------------------------------------------
-# displayed pairs and the real skew block family
+# the real skew block family
 # ---------------------------------------------------------------------------
-
-
-def skew_identity_pair(c):
-    """diag(2c, 2c) as a sum of two skew-coninvolutory matrices (+-i pair)."""
-    one = c * 0 + 1
-    w = one + c * c
-    zero = c * 0
-    k1 = [[(c, zero), (zero, -one)], [(zero, w), (c, zero)]]
-    k2 = [[(c, zero), (zero, one)], [(zero, -w), (c, zero)]]
-    return k1, k2
-
-
-def skew_traceless_pair(c):
-    """diag(2c, -2c) as a sum of two real skew-coninvolutory matrices."""
-    one = c * 0 + 1
-    w = one + c * c
-    zero = c * 0
-    k1 = [[(c, zero), (-one, zero)], [(w, zero), (-c, zero)]]
-    k2 = [[(c, zero), (one, zero)], [(-w, zero), (-c, zero)]]
-    return k1, k2
 
 
 def skew_block(a, b):
@@ -105,21 +88,6 @@ def straddle_block(u: float, v: float) -> np.ndarray:
     w = 1.0 + u * u
     z = -(1.0 + v * v) * np.array([[0.0, 1.0], [w, 0.0]])
     return np.block([[np.array(skew_block(0.0, 1.0 / w)), np.zeros((2, 2))], [z, np.array(skew_block(0.0, 1.0))]])
-
-
-def skew_diag_summands(values) -> list[Matrix]:
-    """Four global skew summands for diag(values), len(values) even."""
-    return diagonal_pair_summands(values, skew_traceless_pair, skew_identity_pair)
-
-
-def skew_sum_diag_pair(a, b) -> Decomposition:
-    """Exactly four skew-coninvolutory 2-by-2 summands for diag(a, b)."""
-    summands = skew_diag_summands([a, b])
-    return Decomposition(
-        kind=KIND_SKEW_SUM,
-        summands=summands,
-        log=[{"step": "diag-pair", "values": [float(a), float(b)]}],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +210,10 @@ def choose_pair_params(p: PairSpec, used: set[float]) -> tuple[SkewParams, tuple
 # ---------------------------------------------------------------------------
 
 
-def _diagonalize_real(d: Matrix) -> tuple[Matrix, list[float], float] | None:
+def _diagonalize_real(d: np.ndarray) -> tuple[Matrix, list[float], float] | None:
     """(T, values, cond(T)) with D = T diag(values) T^{-1}, all real; None
     if the spectrum is not real and simple enough or cond(T) > COND_CAP."""
-    vals, vecs = np.linalg.eig(d.to_array().real)
+    vals, vecs = np.linalg.eig(d)
     scale = 1.0 + np.max(np.abs(vals))
     if np.max(np.abs(vals.imag)) > 1e-8 * scale:
         return None
@@ -260,7 +228,7 @@ def _diagonalize_real(d: Matrix) -> tuple[Matrix, list[float], float] | None:
     return Matrix.floating(t), [float(v) for v in vals], cond
 
 
-def _pair_split(a: Matrix, windows: list, what: str) -> tuple[list[Matrix], dict]:
+def _pair_split(a: np.ndarray, windows: list, what: str) -> tuple[np.ndarray, dict]:
     """Five skew summands for a real A that is block upper triangular over
     its diagonal windows `windows` (each a PairSpec or a StraddleSpec): one
     tuned skew block per window, so that A - C has distinct real
@@ -268,43 +236,32 @@ def _pair_split(a: Matrix, windows: list, what: str) -> tuple[list[Matrix], dict
     Returns the summands and the figures of the log step; raises
     ConvergenceFailure when A - C is not real-diagonalizable."""
     used: set[float] = set()
-    blocks = []
+    c = np.zeros_like(a)
+    start = 0
     for w in windows:
         blk, nu = w.tuned_block(used)
         used.update(nu)
-        blocks.append(Matrix.floating(blk))
-    c = direct_sum(*blocks)
+        stop = start + len(blk)
+        c[start:stop, start:stop] = blk
+        start = stop
     diag = _diagonalize_real(a - c)
     if diag is None:
         raise ConvergenceFailure(f"{what} leave a remainder that is not real-diagonalizable")
     t, values, cond_t = diag
-    summands = [c] + consim_conjugate_list(t, skew_diag_summands(values))
+    summands = np.concatenate([c[None], consim_conjugate_list(t, _diagonal_summands(values, -1))])
     return summands, {"count": 5, "eigenvalues": values, "cond_T": cond_t}
 
 
-def _pad_part(summands: list[Matrix], target: int, n: int) -> list[Matrix]:
-    """Stretch a part's summand list to `target` entries: one unimodular
-    split fixes parity, zero-sum pairs (M, -M) do the rest."""
-    out = list(summands)
-    if (target - len(out)) % 2:
-        k1, k2 = split_unimodular(out[-1])
-        out = out[:-1] + [k1, k2]
-    pad = direct_sum(*[skew_base(1) for _ in range(n // 2)])
-    while len(out) < target:
-        out.extend([pad, -pad])
-    return out
-
-
-def _place_parts(parts: list[tuple[list[int], list[Matrix]]], n: int) -> list[Matrix]:
-    """n-by-n summands from parts (idx, summands) that each split the
-    principal submatrix on rows and columns idx: every part is padded to
-    the largest count and placed on its idx."""
+def _place_parts(parts: list[tuple[list[int], np.ndarray]], n: int) -> np.ndarray:
+    """The (k, n, n) summand stack from parts (idx, stack) that each split
+    the principal submatrix on rows and columns idx: every part is padded
+    to the largest count and placed on its idx."""
     target = max(len(ks) for _, ks in parts)
     inner = np.zeros((target, n, n), dtype=complex)
     for idx, ks in parts:
-        for slot, k in zip(inner, _pad_part(ks, target, len(idx))):
-            slot[np.ix_(idx, idx)] = k.to_array()
-    return [Matrix.floating(k) for k in inner]
+        rows = np.asarray(idx)
+        inner[:, rows[:, None], rows] = _pad(ks, target, _unit(KIND_SKEW_SUM, len(idx)))
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +357,8 @@ def skew_sum_jordan(a: Matrix) -> Decomposition:
     log: list[dict] = []
 
     if all(e == 0 for e in eps):
-        summands = skew_diag_summands(lam)
         log.append({"step": "diagonal-case", "count": 4})
-        return Decomposition(KIND_SKEW_SUM, summands, log=log)
+        return Decomposition(KIND_SKEW_SUM, [Matrix.floating(k) for k in _diagonal_summands(lam, -1)], log=log)
 
     blocks = _blocks_of(lam, eps)
     starts = np.cumsum([0] + [size for _, size in blocks]).tolist()
@@ -423,15 +379,15 @@ def skew_sum_jordan(a: Matrix) -> Decomposition:
     order, windows = _windows(flipped)
     rest_idx = [row for i in order for row in range(starts[rest[i]], starts[rest[i] + 1])]
     b = (phase[:, None] * a.to_array() * phase)[np.ix_(rest_idx, rest_idx)]
-    inner, entry = _pair_split(Matrix.floating(b.real), windows, "the J-blocks")
+    inner, entry = _pair_split(b.real, windows, "the J-blocks")
     entry["straddles"] = sum(isinstance(w, StraddleSpec) for w in windows)
     log.append({"step": "pair-split", **entry})
     parts = [(rest_idx, inner)]
     if scalars:
         values = [blocks[k][0] for k in scalars]
-        parts.append(([starts[k] for k in scalars], skew_diag_summands(values)))
+        parts.append(([starts[k] for k in scalars], _diagonal_summands(values, -1)))
     summands = consim_conjugate_list(Matrix.diag(phase), _place_parts(parts, a.n))
-    return Decomposition(KIND_SKEW_SUM, summands, log=log)
+    return Decomposition(KIND_SKEW_SUM, [Matrix.floating(k) for k in summands], log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +411,9 @@ def skew_coninvolutory_sum(
     log: list[dict] = []
 
     if a.is_zero():
-        k = direct_sum(*[skew_base(1) for _ in range(a.n // 2)])
-        return _finish_skew(a, [k, -k], [{"step": "zero-input", "count": 2}], tol, pad_to)
+        log.append({"step": "zero-input", "count": 2})
+        zero = _pad(np.empty((0, a.n, a.n)), 2, _unit(KIND_SKEW_SUM, a.n))
+        return _finish(KIND_SKEW_SUM, a, zero, log, tol, pad_to)
 
     s, b = consimilar_to_real(a, seed=seed, tol=tol)
     log.append({"step": "consimilar-to-real", "n": a.n, "cond_S": float(np.linalg.cond(s.to_array()))})
@@ -468,36 +425,16 @@ def skew_coninvolutory_sum(
     jordan: list[int] = []
     for start, stop in _diagonal_blocks(bb):
         (chains if stop - start > 1 and bb[start + 1, start] != 0 else jordan).extend(range(start, stop))
-    parts: list[tuple[list[int], list[Matrix]]] = []
+    parts: list[tuple[list[int], np.ndarray]] = []
     if chains:
         bc = bb[np.ix_(chains, chains)]
         windows = [PairSpec(bc[k, k], bc[k + 1, k + 1], 0, rot=bc[k, k + 1]) for k in range(0, len(chains), 2)]
-        inner, entry = _pair_split(Matrix.floating(bc), windows, "the real-pair chains")
+        inner, entry = _pair_split(bc, windows, "the real-pair chains")
         parts.append((chains, inner))
         log.append({"step": "chain-split", **entry})
     if jordan:
         d = skew_sum_jordan(Matrix.floating(bb[np.ix_(jordan, jordan)]))
-        parts.append((jordan, d.summands))
+        parts.append((jordan, np.array([k.to_array() for k in d.summands])))
         log.extend(d.log)
 
-    summands = consim_conjugate_list(s, _place_parts(parts, a.n))
-    return _finish_skew(a, summands, log, tol, pad_to)
-
-
-def _finish_skew(
-    a: Matrix,
-    summands: list[Matrix],
-    log: list,
-    tol: Tolerance,
-    pad_to: int | None,
-) -> Decomposition:
-    require_certificate(a, Decomposition(KIND_SKEW_SUM, summands), tol, "skew sum")
-    entry = {"step": "summands"}
-    if not a.is_zero():
-        entry["amplification"] = max(k.frobenius_norm() for k in summands) / a.frobenius_norm()
-    if pad_to is not None and pad_to > len(summands):
-        summands = _pad_part(summands, pad_to, a.n)
-        log.append({"step": "pad", "count": len(summands)})
-    entry["count"] = len(summands)
-    log.append(entry)
-    return Decomposition(kind=KIND_SKEW_SUM, summands=summands, log=log)
+    return _finish(KIND_SKEW_SUM, a, consim_conjugate_list(s, _place_parts(parts, a.n)), log, tol, pad_to)

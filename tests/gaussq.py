@@ -68,3 +68,8 @@ def gdiag(values):
         [(q(values[i]) if i == j else Fraction(0), Fraction(0)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def gparts(re, im):
+    """The grid re + i im, from grids of real and imaginary parts."""
+    return [[(q(r), q(i)) for r, i in zip(rr, ii)] for rr, ii in zip(re, im)]

@@ -30,8 +30,7 @@ from coninv import (
     skew_coninvolutory_sum,
     verify_decomposition,
 )
-from coninv.conisum import scaled_identity_pair, traceless_pair, nilpotent_pair, rotation_pair
-from coninv.skewsum import skew_identity_pair, skew_traceless_pair
+from coninv.conisum import displayed_pairs, offdiagonal_pair
 
 import gaussq
 
@@ -210,18 +209,18 @@ def test_criterion_5_exact_unit_identities():
     def gauss(grid):
         return [[(F(re), F(im)) for re, im in row] for row in grid]
 
-    for c in cs:
-        k1, k2 = scaled_identity_pair(c)
-        for k in (k1, k2):
-            g = gauss(k)
-            assert gaussq.gequal(gaussq.gmul(gaussq.gconj(g), g), gaussq.gid(2))
-        assert gaussq.gequal(gaussq.gadd(gauss(k1), gauss(k2)), gaussq.gdiag([2 * c, 2 * c]))
-
-        k1, k2 = skew_identity_pair(c)
-        for k in (k1, k2):
-            g = gauss(k)
-            assert gaussq.gequal(gaussq.gmul(gaussq.gconj(g), g), gaussq.gneg(gaussq.gid(2)))
-        assert gaussq.gequal(gaussq.gadd(gauss(k1), gauss(k2)), gaussq.gdiag([2 * c, 2 * c]))
+    # the one displayed-pair formula, conj(K) K = s I, at s = +1 and -1:
+    # the traceless pair at t sums to diag(2t, -2t), the identity pair at
+    # c to diag(2c, 2c)
+    for s in (1, -1):
+        for t in cs:
+            for c in cs:
+                re, im = displayed_pairs(t, c, s)
+                ks = [gaussq.gparts(r, i) for r, i in zip(re, im)]
+                for k in ks:
+                    assert gaussq.gequal(gaussq.gmul(gaussq.gconj(k), k), gaussq.gdiag([s, s]))
+                assert gaussq.gequal(gaussq.gadd(ks[0], ks[1]), gaussq.gdiag([2 * t, -2 * t]))
+                assert gaussq.gequal(gaussq.gadd(ks[2], ks[3]), gaussq.gdiag([2 * c, 2 * c]))
 
     for _ in range(50):
         a = F(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
@@ -235,22 +234,13 @@ def test_criterion_5_exact_unit_identities():
         k = skew_base(m, "exact")
         assert k @ k == Matrix.diag([F(-1)] * (2 * m), "exact")
 
-    n1, n2 = nilpotent_pair(F(1))
-    total = gaussq.gadd(gauss(n1), gauss(n2))
-    assert gaussq.gequal(total, gauss([[(0, 0), (1, 0)], [(0, 0), (0, 0)]]))
-    for b in (F(1), F(2), F(1, 2)):
-        r1, r2 = rotation_pair(b)
-        total = gaussq.gadd(gauss(r1), gauss(r2))
-        assert gaussq.gequal(total, gauss([[(0, 0), (b, 0)], [(-b, 0), (0, 0)]]))
-        for k in (r1, r2):
-            g = gauss(k)
-            assert gaussq.gequal(gaussq.gmul(gaussq.gconj(g), g), gaussq.gid(2))
-
-    for c in cs:
-        k1, k2 = traceless_pair(c)
-        assert gaussq.gequal(gaussq.gadd(gauss(k1), gauss(k2)), gaussq.gdiag([2 * c, -2 * c]))
-        k1, k2 = skew_traceless_pair(c)
-        assert gaussq.gequal(gaussq.gadd(gauss(k1), gauss(k2)), gaussq.gdiag([2 * c, -2 * c]))
+    # the off-diagonal pair: the nilpotent pair at (1, 0), the rotation
+    # pair at (b, -b), and any (x, y)
+    for x, y in [(F(1), F(0)), (F(1), F(-1)), (F(2), F(-2)), (F(1, 2), F(-1, 2)), (F(3), F(-5, 4))]:
+        ks = [gauss([[(v, 0) for v in row] for row in k]) for k in offdiagonal_pair(x, y)]
+        assert gaussq.gequal(gaussq.gadd(*ks), gauss([[(0, 0), (x, 0)], [(y, 0), (0, 0)]]))
+        for k in ks:
+            assert gaussq.gequal(gaussq.gmul(gaussq.gconj(k), k), gaussq.gid(2))
     print("\nACCEPTANCE 5 exact formula identities: PASS")
 
 

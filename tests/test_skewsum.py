@@ -17,7 +17,6 @@ from coninv import (
     pair_discriminant,
     skew_block,
     skew_coninvolutory_sum,
-    skew_sum_diag_pair,
     skew_sum_jordan,
     verify_decomposition,
 )
@@ -25,7 +24,8 @@ from coninv import skewsum
 from coninv.certify import decomposition_from_json, decomposition_to_json
 from coninv.concanon import ConCanonicalBlock, ConCanonicalError, build_block
 from coninv.matcore import ConvergenceFailure, MatrixError, UnsupportedSize, matrix_from_json
-from coninv.skewsum import ParameterCapExceeded, skew_identity_pair, skew_traceless_pair, straddle_block
+from coninv.conisum import displayed_pairs
+from coninv.skewsum import ParameterCapExceeded, straddle_block
 
 import gaussq
 from conftest import random_complex, read_pairs_as_h2
@@ -35,6 +35,12 @@ DATA = Path(__file__).parent / "data"
 
 def as_gauss(grid):
     return [[(F(re), F(im)) for re, im in row] for row in grid]
+
+
+def pair_grids(t, c):
+    """The four skew summands of ``displayed_pairs`` (s = -1) as Gaussian grids."""
+    re, im = displayed_pairs(t, c, -1)
+    return [gaussq.gparts(r, i) for r, i in zip(re, im)]
 
 
 def skew_exactly(grid):
@@ -47,15 +53,15 @@ def skew_exactly(grid):
 class TestDisplayedPairs:
     @pytest.mark.parametrize("c", [F(0), F(1, 2), F(-1, 2), F(1), F(-1), F(2), F(-2)])
     def test_identity_pair_exact(self, c):
-        k1, k2 = skew_identity_pair(c)
+        k1, k2 = pair_grids(F(0), c)[2:]
         assert skew_exactly(k1) and skew_exactly(k2)
-        assert gaussq.gequal(gaussq.gadd(as_gauss(k1), as_gauss(k2)), gaussq.gdiag([2 * c, 2 * c]))
+        assert gaussq.gequal(gaussq.gadd(k1, k2), gaussq.gdiag([2 * c, 2 * c]))
 
     @pytest.mark.parametrize("c", [F(0), F(1), F(-3, 4)])
     def test_traceless_pair_exact(self, c):
-        k1, k2 = skew_traceless_pair(c)
+        k1, k2 = pair_grids(c, F(0))[:2]
         assert skew_exactly(k1) and skew_exactly(k2)
-        assert gaussq.gequal(gaussq.gadd(as_gauss(k1), as_gauss(k2)), gaussq.gdiag([2 * c, -2 * c]))
+        assert gaussq.gequal(gaussq.gadd(k1, k2), gaussq.gdiag([2 * c, -2 * c]))
 
     def test_skew_block_family_exact(self, rng):
         for _ in range(50):
@@ -69,8 +75,10 @@ class TestDisplayedPairs:
 
 
 class TestDiagPair:
+    """diag(a, b) takes the diagonal 4-sum alone in ``skew_sum_jordan``."""
+
     def test_zero_pair_frozen(self):
-        d = skew_sum_diag_pair(0.0, 0.0)
+        d = skew_sum_jordan(Matrix.diag([0.0, 0.0]))
         expect = [
             [[0, -1], [1, 0]],
             [[0, 1], [-1, 0]],
@@ -82,14 +90,14 @@ class TestDiagPair:
             assert np.allclose(k.to_array(), e)
 
     def test_two_two_includes_bfl_at_one(self):
-        d = skew_sum_diag_pair(2.0, 2.0)
+        d = skew_sum_jordan(Matrix.diag([2.0, 2.0]))
         arrs = [k.to_array() for k in d.summands]
         assert any(np.allclose(a, [[1, -1j], [2j, 1]]) for a in arrs)
         assert any(np.allclose(a, [[1, 1j], [-2j, 1]]) for a in arrs)
         assert verify_decomposition(Matrix.diag([2, 2]), d).passed
 
     def test_generic_pair(self):
-        d = skew_sum_diag_pair(3.0, 1.0)
+        d = skew_sum_jordan(Matrix.diag([3.0, 1.0]))
         assert d.count == 4
         assert all(is_skew_coninvolutory(k) for k in d.summands)
         assert verify_decomposition(Matrix.diag([3, 1]), d).passed
@@ -422,7 +430,8 @@ class TestCertificateCheck:
 
         def corrupted(u, ks):
             out = honest(u, ks)
-            return [out[0] + 1e-3 * Matrix.identity(u.n)] + out[1:]
+            out[0] += 1e-3 * np.eye(u.n)
+            return out
 
         monkeypatch.setattr(skewsum, "consim_conjugate_list", corrupted)
         with pytest.raises(ConvergenceFailure, match="sum residual"):
